@@ -4,7 +4,8 @@
 // exercise it: event schedule→pop throughput at realistic standing
 // populations, timer-churn (schedule/cancel) mixes, update-queue
 // push/pop/purge under both the realistic near-in-generation-order
-// arrival pattern and an adversarial random one, and an end-to-end
+// arrival pattern and an adversarial random one, the database apply,
+// staleness-tracker and ready-queue paths, and an end-to-end
 // 60-simulated-second baseline run.
 //
 // CI runs this with --benchmark_min_time=0.1x and uploads the JSON:
@@ -21,6 +22,7 @@
 // strip_build_type == "release".
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -28,10 +30,13 @@
 #include "check/invariant_auditor.h"
 #include "core/config.h"
 #include "core/system.h"
+#include "db/database.h"
+#include "db/staleness.h"
 #include "db/update_queue.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "txn/ready_queue.h"
 
 namespace {
 
@@ -207,6 +212,66 @@ void BM_UpdatePeekNewestFor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UpdatePeekNewestFor);
+
+// --- database, staleness tracker, ready queue ------------------------------
+
+// Install path: apply one newer update to a random object.
+void BM_DatabaseApply(benchmark::State& state) {
+  db::Database database(500, 500);
+  sim::RandomStream random(base::RngSeed(7));
+  std::uint64_t id = 0;
+  double t = 0;
+  for (auto _ : state) {
+    const db::Update u = MakeUpdate(++id, t += 0.001, random);
+    benchmark::DoNotOptimize(database.Apply(u));
+  }
+}
+BENCHMARK(BM_DatabaseApply);
+
+// Maximum-Age tracking: one apply per 2.5 ms of simulated time, with
+// the clock advanced so expiry events fire and superseded ones are
+// reclaimed, as in a real run.
+void BM_StalenessTrackerApply(benchmark::State& state) {
+  sim::Simulator simulator;
+  db::StalenessTracker tracker(&simulator,
+                               db::StalenessCriterion::kMaxAge, 7.0, 500,
+                               500);
+  sim::RandomStream random(base::RngSeed(7));
+  double t = 0;
+  for (auto _ : state) {
+    t += 0.0025;
+    simulator.RunUntil(t);
+    tracker.OnApply({db::ObjectClass::kLowImportance,
+                     random.UniformInt(0, 499)},
+                    t);
+    benchmark::DoNotOptimize(tracker.StaleCount(
+        db::ObjectClass::kLowImportance));
+  }
+}
+BENCHMARK(BM_StalenessTrackerApply);
+
+// Transaction scheduling: pop the best of 32 ready transactions and
+// put it back.
+void BM_ReadyQueuePopBest(benchmark::State& state) {
+  sim::RandomStream random(base::RngSeed(7));
+  std::vector<std::unique_ptr<txn::Transaction>> pool;
+  for (int i = 0; i < 32; ++i) {
+    txn::Transaction::Params p;
+    p.id = base::TxnId(i);
+    p.value = random.Uniform(0.5, 2.5);
+    p.deadline = random.Uniform(1, 2);
+    p.computation_instructions = random.Uniform(1e6, 1e7);
+    pool.push_back(std::make_unique<txn::Transaction>(p));
+  }
+  txn::ReadyQueue queue;
+  for (auto& t : pool) queue.Add(t.get());
+  for (auto _ : state) {
+    txn::Transaction* best = queue.PopBest(50e6);
+    benchmark::DoNotOptimize(best);
+    queue.Add(best);
+  }
+}
+BENCHMARK(BM_ReadyQueuePopBest);
 
 // --- end to end ------------------------------------------------------------
 

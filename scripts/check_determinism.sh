@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Double-run determinism harness: the same (config, seed) twice must
 # byte-compare equal across every output surface — summary text,
-# telemetry JSON, Chrome trace, and a sweep grid (cell files +
-# per-cell telemetry). Run after building:
+# telemetry JSON, Chrome trace, a sweep grid (cell files + per-cell
+# telemetry), and a replayed trace file. Run after building:
 #
 #   scripts/check_determinism.sh [BUILD_DIR]    # default: build
 #
@@ -16,9 +16,11 @@ BUILD="${1:-build}"
 SIM="$BUILD/tools/strip_sim"
 SWEEP="$BUILD/tools/strip_sweep"
 REPORT="$BUILD/tools/strip_report"
+REPLAY="$BUILD/tools/strip_replay"
 [ -x "$SIM" ] || { echo "missing $SIM (build first)"; exit 2; }
 [ -x "$SWEEP" ] || { echo "missing $SWEEP (build first)"; exit 2; }
 [ -x "$REPORT" ] || { echo "missing $REPORT (build first)"; exit 2; }
+[ -x "$REPLAY" ] || { echo "missing $REPLAY (build first)"; exit 2; }
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -114,6 +116,35 @@ else
       || fail "sharded telemetry v4 golden drifted for shard $S"
   done
 fi
+
+echo "check_determinism: chrome trace golden through the tool path"
+# The bytes tests/obs/chrome_trace_test.cc pins for a bare
+# ChromeTraceWriter, produced here by strip_sim's output fan-out.
+"$SIM" --policy=OD --sim_seconds=1.5 --warmup_seconds=0 --alpha=0.5 \
+  --lambda_t=30 --n_low=200 --n_high=200 --txn_preemption=true --seed=7 \
+  --quiet --chrome-trace="$WORK/golden_trace.json" > /dev/null
+cmp "$WORK/golden_trace.json" "$GOLDEN_DIR/chrome_trace_golden.json" \
+  || fail "strip_sim chrome trace drifted from chrome_trace_golden.json"
+
+echo "check_determinism: replayed trace file (summary + chrome trace)"
+# A small hand-made feed over a 20+20 object database: ten rounds, each
+# updating every object once and admitting one reading transaction.
+for R in 0 1 2 3 4 5 6 7 8 9; do
+  for I in $(seq 0 19); do
+    printf 'update,%d.%02d,low,%d,%d.%02d,1.0\n' "$R" $((I * 5 + 2)) "$I" \
+      "$R" $((I * 5))
+    printf 'update,%d.%02d,high,%d,%d.%02d,1.0\n' "$R" $((I * 5 + 4)) "$I" \
+      "$R" $((I * 5 + 1))
+  done
+  printf 'txn,%d.31,high,2.0,%d.95,2000000,0.5,low:%d;high:1%d\n' \
+    "$R" "$R" "$R" "$R"
+done > "$WORK/feed.csv"
+for PASS in a b; do
+  "$REPLAY" "$WORK/feed.csv" --policy=OD --n_low=20 --n_high=20 --seed=5 \
+    --chrome-trace="$WORK/rc_$PASS.json" > "$WORK/rout_$PASS.txt"
+done
+cmp "$WORK/rc_a.json" "$WORK/rc_b.json" || fail "replay chrome trace differs"
+cmp "$WORK/rout_a.txt" "$WORK/rout_b.txt" || fail "replay summary differs"
 
 echo "check_determinism: sweep grids (threaded vs threaded, audited)"
 for PASS in a b; do

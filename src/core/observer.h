@@ -4,10 +4,10 @@
 // transaction completions/aborts, update installs/drops, stale reads,
 // and run-phase boundaries — without perturbing the model. Any number
 // of observers can be attached through the System's ObserverBus
-// (core/observer_bus.h); used by the CSV trace writer
-// (core/trace_writer.h), the observability layer (src/obs), and
-// available to applications for custom monitoring (e.g., alerting on
-// stale reads in the control-room example).
+// (core/observer_bus.h); used by the observability layer (src/obs),
+// the auditors (src/check), and available to applications for custom
+// monitoring (e.g., alerting on stale reads in the control-room
+// example).
 //
 // Two tiers of hooks:
 //

@@ -33,7 +33,8 @@ bool UpdateQueue::FlatKeyIndex::Insert(const Key& key) {
   if (head_ > 0 && dist_front <= dist_back) {
     // Shift the (shorter) prefix one left into the head gap. Key is
     // trivially copyable, so memmove is fine.
-    std::memmove(&keys_[head_ - 1], &keys_[head_], dist_front * sizeof(Key));
+    std::memmove(keys_.data() + head_ - 1, keys_.data() + head_,
+                 dist_front * sizeof(Key));
     --head_;
     keys_[pos - 1] = key;
   } else {
@@ -50,7 +51,8 @@ bool UpdateQueue::FlatKeyIndex::Erase(const Key& key, std::uint32_t* slot) {
   const std::size_t dist_back = keys_.size() - pos - 1;
   if (dist_front <= dist_back) {
     // Shift the (shorter) prefix one right over the erased key.
-    std::memmove(&keys_[head_ + 1], &keys_[head_], dist_front * sizeof(Key));
+    std::memmove(keys_.data() + head_ + 1, keys_.data() + head_,
+                 dist_front * sizeof(Key));
     ++head_;
     MaybeCompact();
   } else {

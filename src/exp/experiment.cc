@@ -4,7 +4,6 @@
 
 #include "base/check.h"
 #include "core/cluster.h"
-#include "core/system.h"
 #include "sim/simulator.h"
 
 namespace strip::exp {
@@ -13,61 +12,63 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Budgeted run against an absolute deadline, so a sweep cell can
-// share one deadline across its replications. Slicing replays the
-// exact event sequence of an unsliced run (Simulator::RunUntil
-// dispatches each event once across successive calls), so results are
-// identical to RunOnce unless the deadline actually fires.
-core::RunMetrics RunOnceUntil(const core::Config& config,
-                              std::uint64_t seed, const RunHook& hook,
-                              const RunContext& context,
-                              Clock::time_point deadline,
-                              double slice_sim_seconds, bool* timed_out) {
-  if (slice_sim_seconds <= 0) slice_sim_seconds = 5.0;
-  sim::Simulator simulator;
-  core::System system(&simulator, config, base::RngSeed(seed));
-  RunFinisher finish;
-  if (hook) finish = hook(system, context);
-  core::RunMetrics metrics;
-  while (true) {
-    if (system.RunSlice(slice_sim_seconds)) {
-      metrics = system.metrics();
-      break;
-    }
-    if (Clock::now() >= deadline) {
-      metrics = system.HaltEarly();
-      if (timed_out != nullptr) *timed_out = true;
-      break;
-    }
-  }
-  if (finish) finish(metrics);
-  return metrics;
+core::ShardedConfig OneShard(const core::Config& config) {
+  core::ShardedConfig sharded;
+  sharded.base = config;
+  return sharded;
 }
 
-// Sharded twin of RunOnceUntil: same deadline/slice contract, driving
-// a Cluster instead of a bare System.
-core::RunMetrics ClusterRunOnceUntil(const core::ShardedConfig& config,
-                                     std::uint64_t seed,
-                                     const ClusterRunHook& hook,
-                                     const RunContext& context,
-                                     Clock::time_point deadline,
-                                     double slice_sim_seconds,
-                                     bool* timed_out) {
-  if (slice_sim_seconds <= 0) slice_sim_seconds = 5.0;
+// A RunHook observes the single System of a one-shard Cluster; it is
+// not called for multi-shard runs.
+ClusterRunHook ShardZeroHook(const RunHook& hook) {
+  if (!hook) return nullptr;
+  return [hook](core::Cluster& cluster,
+                const RunContext& context) -> RunFinisher {
+    if (cluster.shards() != 1) return nullptr;
+    return hook(cluster.shard(0), context);
+  };
+}
+
+Clock::time_point DeadlineAfter(double wall_seconds) {
+  return std::chrono::steady_clock::now() +
+         std::chrono::duration_cast<Clock::duration>(
+             std::chrono::duration<double>(wall_seconds));
+}
+
+// The one run loop. Without a deadline the Cluster runs to completion
+// in one call. With one — absolute, so a sweep cell can share it across
+// its replications — it advances in slices of `slice_sim_seconds`,
+// checking the wall clock between slices. Slicing replays the exact
+// event sequence of an unsliced run (Simulator::RunUntil dispatches
+// each event once across successive calls), so results are identical
+// unless the deadline actually fires.
+core::RunMetrics RunCluster(const core::ShardedConfig& config,
+                            std::uint64_t seed, const ClusterRunHook& hook,
+                            const RunContext& context,
+                            const Clock::time_point* deadline,
+                            double slice_sim_seconds, bool* timed_out) {
   sim::Simulator simulator;
   core::Cluster cluster(&simulator, config, base::RngSeed(seed));
+  // The finisher is declared after the Cluster so its destruction (and
+  // with it any observers it owns) happens first, while the buses the
+  // observers detach from are still alive.
   RunFinisher finish;
   if (hook) finish = hook(cluster, context);
   core::RunMetrics metrics;
-  while (true) {
-    if (cluster.RunSlice(slice_sim_seconds)) {
-      metrics = cluster.metrics();
-      break;
-    }
-    if (Clock::now() >= deadline) {
-      metrics = cluster.HaltEarly();
-      if (timed_out != nullptr) *timed_out = true;
-      break;
+  if (deadline == nullptr) {
+    metrics = cluster.Run();
+  } else {
+    if (slice_sim_seconds <= 0) slice_sim_seconds = 5.0;
+    while (true) {
+      if (cluster.RunSlice(slice_sim_seconds)) {
+        metrics = cluster.metrics();
+        break;
+      }
+      if (std::chrono::steady_clock::now() >= *deadline) {
+        metrics = cluster.HaltEarly();
+        if (timed_out != nullptr) *timed_out = true;
+        break;
+      }
     }
   }
   if (finish) finish(metrics);
@@ -77,35 +78,19 @@ core::RunMetrics ClusterRunOnceUntil(const core::ShardedConfig& config,
 }  // namespace
 
 core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed) {
-  return RunOnce(config, seed, nullptr, RunContext{});
+  return RunOnce(OneShard(config), seed);
 }
 
 core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed,
                          const RunHook& hook, const RunContext& context) {
-  sim::Simulator simulator;
-  core::System system(&simulator, config, base::RngSeed(seed));
-  // The finisher is declared after the System so its destruction (and
-  // with it any observers it owns) happens first, while the bus the
-  // observers detach from is still alive.
-  RunFinisher finish;
-  if (hook) finish = hook(system, context);
-  const core::RunMetrics metrics = system.Run();
-  if (finish) finish(metrics);
-  return metrics;
+  return RunOnce(OneShard(config), seed, ShardZeroHook(hook), context);
 }
 
 core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed,
                          const RunHook& hook, const RunContext& context,
                          const RunBudget& budget, bool* timed_out) {
-  if (timed_out != nullptr) *timed_out = false;
-  if (budget.wall_seconds <= 0) {
-    return RunOnce(config, seed, hook, context);
-  }
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(budget.wall_seconds));
-  return RunOnceUntil(config, seed, hook, context, deadline,
-                      budget.slice_sim_seconds, timed_out);
+  return RunOnce(OneShard(config), seed, ShardZeroHook(hook), context, budget,
+                 timed_out);
 }
 
 core::RunMetrics RunOnce(const core::ShardedConfig& config,
@@ -116,16 +101,7 @@ core::RunMetrics RunOnce(const core::ShardedConfig& config,
 core::RunMetrics RunOnce(const core::ShardedConfig& config,
                          std::uint64_t seed, const ClusterRunHook& hook,
                          const RunContext& context) {
-  sim::Simulator simulator;
-  core::Cluster cluster(&simulator, config, base::RngSeed(seed));
-  // Finisher after the Cluster for the same destruction-order reason
-  // as the System overload: hook-owned observers detach before the
-  // shard engines (and their buses) go away.
-  RunFinisher finish;
-  if (hook) finish = hook(cluster, context);
-  const core::RunMetrics metrics = cluster.Run();
-  if (finish) finish(metrics);
-  return metrics;
+  return RunCluster(config, seed, hook, context, nullptr, 0, nullptr);
 }
 
 core::RunMetrics RunOnce(const core::ShardedConfig& config,
@@ -133,36 +109,24 @@ core::RunMetrics RunOnce(const core::ShardedConfig& config,
                          const RunContext& context, const RunBudget& budget,
                          bool* timed_out) {
   if (timed_out != nullptr) *timed_out = false;
-  if (budget.wall_seconds <= 0) {
-    return RunOnce(config, seed, hook, context);
-  }
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(budget.wall_seconds));
-  return ClusterRunOnceUntil(config, seed, hook, context, deadline,
-                             budget.slice_sim_seconds, timed_out);
+  if (budget.wall_seconds <= 0) return RunOnce(config, seed, hook, context);
+  const Clock::time_point deadline = DeadlineAfter(budget.wall_seconds);
+  return RunCluster(config, seed, hook, context, &deadline,
+                    budget.slice_sim_seconds, timed_out);
 }
 
 std::vector<core::RunMetrics> Replicate(const core::Config& config,
                                         int replications,
                                         std::uint64_t base_seed) {
-  return Replicate(config, replications, base_seed, nullptr);
+  return Replicate(OneShard(config), replications, base_seed, nullptr);
 }
 
 std::vector<core::RunMetrics> Replicate(const core::Config& config,
                                         int replications,
                                         std::uint64_t base_seed,
                                         const RunHook& hook) {
-  STRIP_CHECK_MSG(replications > 0, "need at least one replication");
-  std::vector<core::RunMetrics> runs;
-  runs.reserve(replications);
-  for (int r = 0; r < replications; ++r) {
-    RunContext context;
-    context.replication = r;
-    context.seed = base_seed + static_cast<std::uint64_t>(r);
-    runs.push_back(RunOnce(config, context.seed, hook, context));
-  }
-  return runs;
+  return Replicate(OneShard(config), replications, base_seed,
+                   ShardZeroHook(hook));
 }
 
 std::vector<core::RunMetrics> Replicate(const core::ShardedConfig& config,
@@ -238,7 +202,7 @@ SweepResult RunSweep(const SweepSpec& spec) {
   // budget and finishes as a unit — on_cell_done sees all of its runs
   // together, which is what lets a runner persist cell files
   // atomically for --resume. Every worker runs fully isolated
-  // Simulation/RNG state (a fresh Simulator + System per run, seeded
+  // Simulation/RNG state (a fresh Simulator + Cluster per run, seeded
   // from the spec), and results land in index-addressed SweepResult
   // cells, so the merged result is byte-identical for any job count.
   struct Task {
@@ -253,36 +217,32 @@ SweepResult RunSweep(const SweepSpec& spec) {
     }
   }
 
+  // on_cluster_run observes every cell; without it, on_run observes
+  // the one-shard cells.
+  const ClusterRunHook hook =
+      spec.on_cluster_run ? spec.on_cluster_run : ShardZeroHook(spec.on_run);
+
   ParallelRunner runner(spec.parallel);
   std::size_t cells_done = 0;
   runner.Run(tasks.size(), [&](std::size_t i) {
     const Task& task = tasks[i];
-    core::Config config = spec.base;
-    config.policy = spec.policies[task.policy_index];
-    if (spec.apply_x) spec.apply_x(config, spec.x_values[task.x_index]);
-    // Sharded sweeps wrap the finished cell config in the spec's
-    // cluster shape; at the default shards == 1 (and no cluster x
-    // axis) the historical single-System path below runs untouched.
-    // A cluster-scoped x axis forces the Cluster path for every cell
-    // so the shape it sets (shard count, link latency) takes effect.
-    core::ShardedConfig cell_cluster = spec.cluster;
-    cell_cluster.base = config;
-    if (spec.apply_x_cluster) {
-      spec.apply_x_cluster(cell_cluster, spec.x_values[task.x_index]);
-    }
-    const bool sharded =
-        spec.apply_x_cluster != nullptr || spec.cluster.shards > 1;
+    // Every cell is a Cluster run: the spec's cluster shape around the
+    // cell's config (base + policy + x value). At the default
+    // shards == 1 that is the uniprocessor model.
+    const double x = spec.x_values[task.x_index];
+    core::ShardedConfig config = spec.cluster;
+    config.base = spec.base;
+    config.base.policy = spec.policies[task.policy_index];
+    if (spec.apply_x) spec.apply_x(config.base, x);
+    if (spec.apply_x_cluster) spec.apply_x_cluster(config, x);
     std::vector<core::RunMetrics>& runs =
         result.mutable_cell(task.policy_index, task.x_index);
     // The cell's wall-clock budget is per-worker: it starts when a
     // worker picks the cell up, not when the sweep was launched, so
     // queueing behind other cells never eats a cell's allowance.
     const bool budgeted = spec.budget.wall_seconds > 0;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(
-                budgeted ? spec.budget.wall_seconds : 0.0));
+    const Clock::time_point deadline =
+        DeadlineAfter(budgeted ? spec.budget.wall_seconds : 0.0);
     bool cell_timed_out = false;
     for (int r = 0; r < spec.replications; ++r) {
       // Once the cell's budget fires, later replications are not
@@ -293,24 +253,11 @@ SweepResult RunSweep(const SweepSpec& spec) {
       context.x_index = task.x_index;
       context.replication = r;
       context.seed = spec.base_seed + static_cast<std::uint64_t>(r);
-      if (sharded) {
-        context.shards = cell_cluster.shards;
-        runs[static_cast<std::size_t>(r)] =
-            budgeted ? ClusterRunOnceUntil(cell_cluster, context.seed,
-                                           spec.on_cluster_run, context,
-                                           deadline,
-                                           spec.budget.slice_sim_seconds,
-                                           &cell_timed_out)
-                     : RunOnce(cell_cluster, context.seed,
-                               spec.on_cluster_run, context);
-      } else {
-        runs[static_cast<std::size_t>(r)] =
-            budgeted ? RunOnceUntil(config, context.seed, spec.on_run,
-                                    context, deadline,
-                                    spec.budget.slice_sim_seconds,
-                                    &cell_timed_out)
-                     : RunOnce(config, context.seed, spec.on_run, context);
-      }
+      context.shards = config.shards;
+      runs[static_cast<std::size_t>(r)] =
+          RunCluster(config, context.seed, hook, context,
+                     budgeted ? &deadline : nullptr,
+                     spec.budget.slice_sim_seconds, &cell_timed_out);
     }
     if (spec.on_cell_done || spec.on_progress) {
       // Durable cell writes and progress share one serialized

@@ -52,8 +52,8 @@ struct RunContext {
   std::size_t x_index = 0;
   int replication = 0;
   std::uint64_t seed = 0;
-  // Cluster shape of the run: 1 for classic single-System runs. Hooks
-  // that attach per-shard sinks read this to size their fan-out.
+  // Cluster shape of the run: 1 for the uniprocessor model. Hooks that
+  // attach per-shard sinks read this to size their fan-out.
   int shards = 1;
 };
 
@@ -61,20 +61,23 @@ struct RunContext {
 // System is still alive.
 using RunFinisher = std::function<void(const core::RunMetrics&)>;
 
-// Observation hook: called with the freshly wired System before Run()
-// — attach observers (telemetry, trace writers) here; they must stay
+// Observation hook for a uniprocessor run: called with the freshly
+// wired System (the one shard of the run's Cluster) before Run() —
+// attach observers (telemetry, trace writers) here; they must stay
 // alive for the run, e.g. owned by the returned finisher. The returned
 // finisher (may be null) runs after Run() with the run's metrics.
-// Sweeps call hooks concurrently from worker threads; hooks must not
-// share mutable state across runs without synchronization.
+// Never called for multi-shard runs. Sweeps call hooks concurrently
+// from worker threads; hooks must not share mutable state across runs
+// without synchronization.
 using RunHook =
     std::function<RunFinisher(core::System&, const RunContext&)>;
 
-// Sharded variant: receives the freshly wired Cluster before Run() —
-// attach observers per shard (cluster.shard(s).AddObserver) or on all
-// shards. The returned finisher (may be null) runs after Run() with
-// the *aggregate* metrics; per-shard metrics stay readable through the
-// Cluster reference for the finisher's lifetime.
+// Cluster variant, for any shard count: receives the freshly wired
+// Cluster before Run() — attach observers per shard
+// (cluster.shard(s).AddObserver) or on all shards. The returned
+// finisher (may be null) runs after Run() with the *aggregate*
+// metrics; per-shard metrics stay readable through the Cluster
+// reference for the finisher's lifetime.
 using ClusterRunHook =
     std::function<RunFinisher(core::Cluster&, const RunContext&)>;
 
@@ -91,8 +94,11 @@ struct RunBudget {
   double slice_sim_seconds = 5.0;
 };
 
-// Runs one configuration to completion with one seed. The optional
-// hook observes the run (see RunHook).
+// Runs one configuration to completion with one seed. Every run is a
+// core::Cluster run: the core::Config overloads run a one-shard
+// Cluster on `config` (seed- and metric-identical to a bare System)
+// and hand its System to the hook. The optional hook observes the run
+// (see RunHook).
 core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed);
 core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed,
                          const RunHook& hook, const RunContext& context);
@@ -103,9 +109,9 @@ core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed,
                          const RunHook& hook, const RunContext& context,
                          const RunBudget& budget, bool* timed_out);
 
-// Sharded equivalents: one Cluster run per call, returning the
-// aggregate metrics. With config.shards == 1 the run is seed- and
-// metric-identical to the core::Config overloads on config.base.
+// Cluster equivalents, returning the aggregate metrics. With
+// config.shards == 1 the run is identical to the core::Config
+// overloads on config.base.
 core::RunMetrics RunOnce(const core::ShardedConfig& config,
                          std::uint64_t seed);
 core::RunMetrics RunOnce(const core::ShardedConfig& config,
@@ -150,11 +156,8 @@ struct SweepSpec {
   std::function<void(core::Config&, double)> apply_x;
   // Cluster-scoped x application: when set, the x value is applied to
   // the cell's cluster shape (after `cluster.base` has been filled in
-  // with the cell's base + policy config) — this is how `shards` or
-  // `link_latency_us` become sweep axes. Setting it routes EVERY cell
-  // through the Cluster path, shards == 1 values included (a
-  // one-shard Cluster is seed- and metric-identical to a bare
-  // System), so attach observers via on_cluster_run.
+  // with the cell's base + policy config, and after apply_x) — this is
+  // how `shards` or `link_latency_us` become sweep axes.
   std::function<void(core::ShardedConfig&, double)> apply_x_cluster;
   // Independent replications per cell.
   int replications = 3;
@@ -163,18 +166,17 @@ struct SweepSpec {
   // worker-to-core pinning. Results are byte-identical for any job
   // count (see exp/parallel_runner.h's determinism contract).
   ParallelOptions parallel;
-  // Observation hook, called (from worker threads) for every run with
-  // its cell coordinates; may be null. See RunHook. Ignored when the
-  // sweep is sharded (cluster.shards > 1) — use on_cluster_run there.
+  // Observation hook, called (from worker threads) for every run of a
+  // one-shard cell with its cell coordinates; may be null. See RunHook.
+  // Ignored for multi-shard cells and whenever on_cluster_run is set.
   RunHook on_run;
-  // Cluster shape for sharded sweeps. The default (shards == 1) keeps
-  // the historical single-System cell path, byte-identical to before
-  // the field existed. With shards > 1, every cell run constructs a
-  // Cluster from this shape with the cell's config (base + policy +
-  // x value) as its base; `cluster.base` itself is ignored.
+  // Cluster shape of every cell: each cell run constructs a Cluster
+  // from this shape with the cell's config (base + policy + x value) as
+  // its base; `cluster.base` itself is ignored. The default
+  // (shards == 1) is the uniprocessor model.
   core::ShardedConfig cluster;
-  // Observation hook for sharded cells (cluster.shards > 1); may be
-  // null. See ClusterRunHook.
+  // Observation hook for every cell, whatever its shard count; may be
+  // null. Takes precedence over on_run. See ClusterRunHook.
   ClusterRunHook on_cluster_run;
   // Per-cell wall-clock budget, shared across a cell's replications
   // (crash-safe sweeps). On overrun the in-flight replication is cut

@@ -15,6 +15,17 @@
 namespace strip::core {
 namespace {
 
+TEST(DropReasonTest, Names) {
+  EXPECT_STREQ(DropReasonName(SystemObserver::DropReason::kOsQueueFull),
+               "os-full");
+  EXPECT_STREQ(DropReasonName(SystemObserver::DropReason::kQueueOverflow),
+               "queue-overflow");
+  EXPECT_STREQ(DropReasonName(SystemObserver::DropReason::kExpired),
+               "expired");
+  EXPECT_STREQ(DropReasonName(SystemObserver::DropReason::kUnworthy),
+               "unworthy");
+}
+
 // Appends its tag to a shared log on every phase event.
 class TaggedObserver : public SystemObserver {
  public:

@@ -1,13 +1,17 @@
 // strip_replay: run a recorded workload trace through the system.
 //
 //   strip_replay <trace-file> [--name=value ...] [--seed=N]
-//                [--trace-out=FILE] [--quiet]
+//                [--chrome-trace=PATH] [--quiet]
 //
 // The trace format is documented in workload/trace_replay.h. All
 // Config parameters are settable as --name=value (policy, staleness,
 // cost knobs, ...); sim_seconds defaults to just past the last arrival
-// unless set explicitly. --trace-out writes the per-transaction /
-// per-update outcome CSV produced by core::TraceWriter.
+// unless set explicitly. The replay runs as a one-shard core::Cluster
+// fed through its external-workload injection. --chrome-trace writes
+// the run's lifecycle trace (transaction outcomes, installs, on-demand
+// installs, drops with their reason, stale reads, phases) in the same
+// Chrome trace-event format as strip_sim, via tools/run_outputs.h;
+// inspect it with strip_trace --chrome=PATH.
 
 #include <algorithm>
 #include <cstdio>
@@ -18,10 +22,11 @@
 #include <variant>
 #include <vector>
 
+#include "core/cluster.h"
 #include "core/config.h"
-#include "core/system.h"
-#include "core/trace_writer.h"
+#include "core/sharded_config.h"
 #include "exp/config_flags.h"
+#include "run_outputs.h"
 #include "sim/simulator.h"
 #include "workload/trace_replay.h"
 
@@ -36,7 +41,7 @@ int main(int argc, char** argv) {
   }
 
   std::string trace_path;
-  std::string trace_out_path;
+  std::string chrome_trace_path;
   std::uint64_t seed = 1;
   bool quiet = false;
   bool sim_seconds_set = false;
@@ -48,8 +53,8 @@ int main(int argc, char** argv) {
   for (const std::string& arg : rest) {
     if (arg.rfind("--seed=", 0) == 0) {
       seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out_path = arg.substr(12);
+    } else if (arg.rfind("--chrome-trace=", 0) == 0) {
+      chrome_trace_path = arg.substr(15);
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg.rfind("--", 0) == 0) {
@@ -106,32 +111,26 @@ int main(int argc, char** argv) {
   }
 
   strip::sim::Simulator simulator;
-  strip::core::System system(&simulator, config, strip::base::RngSeed(seed));
-
-  std::ofstream trace_out;
-  std::unique_ptr<strip::core::TraceWriter> writer;
-  if (!trace_out_path.empty()) {
-    trace_out.open(trace_out_path);
-    if (!trace_out) {
-      std::fprintf(stderr, "strip_replay: cannot write %s\n",
-                   trace_out_path.c_str());
-      return 1;
-    }
-    strip::core::TraceWriter::Options options;
-    options.transactions = true;
-    options.updates = true;
-    writer = std::make_unique<strip::core::TraceWriter>(&trace_out, options);
-    system.AddObserver(writer.get());
-  }
+  strip::core::ShardedConfig one_shard;
+  one_shard.base = config;
+  strip::core::Cluster cluster(&simulator, one_shard,
+                               strip::base::RngSeed(seed));
+  strip::tools::RunOutputs outputs;
+  outputs.tool = "strip_replay";
+  outputs.chrome_trace_path = chrome_trace_path;
+  // Declared after the Cluster: the recorders it owns detach first.
+  const strip::exp::RunFinisher finish =
+      strip::tools::AttachRunOutputs(cluster, outputs);
 
   strip::workload::TraceReplay replay(
       &simulator, records,
-      [&](const strip::db::Update& u) { system.InjectUpdate(u); },
+      [&](const strip::db::Update& u) { cluster.InjectUpdate(u); },
       [&](const strip::txn::Transaction::Params& p) {
-        system.InjectTransaction(p);
+        cluster.InjectTransaction(p);
       });
 
-  const strip::core::RunMetrics metrics = system.Run();
+  const strip::core::RunMetrics metrics = cluster.Run();
+  if (finish) finish(metrics);
   if (!quiet) {
     std::printf("replayed %zu records from %s under %s/%s\n\n",
                 replay.size(), trace_path.c_str(),

@@ -34,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/atomic_io.h"
+#include "base/atomic_io.h"
 #include "obs/report/bench_diff.h"
 #include "obs/report/diff.h"
 #include "obs/report/format.h"
@@ -83,7 +83,7 @@ std::vector<std::string> SplitCommas(const std::string& text) {
 }
 
 void WriteOrFail(const std::string& path, const std::string& contents) {
-  if (const auto error = strip::exp::WriteFileAtomic(path, contents)) {
+  if (const auto error = strip::base::WriteFileAtomic(path, contents)) {
     Fail(*error);
   }
 }

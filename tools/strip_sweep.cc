@@ -48,13 +48,15 @@
 // the same machinery the per-figure bench binaries use, exposed for
 // ad-hoc exploration.
 //
-// Cluster-level flags (--shards=, --placement=, --shard_faults=, ...)
-// make every cell an M-shard cluster run: each cell's swept Config
-// becomes the per-shard base, --audit adds the cross-shard
-// ClusterAuditor census on top of the per-shard auditors, and
-// --telemetry-dir writes one document per shard
-// (<cell>.json.shard<k>). --shards=1 (the default) is byte-identical
-// to the pre-sharding tool.
+// Every cell is a core::Cluster run; the default --shards=1 is the
+// paper's uniprocessor model. Cluster-level flags (--shards=,
+// --placement=, --shard_faults=, ...) make every cell an M-shard
+// cluster run: each cell's swept Config becomes the per-shard base,
+// --audit adds the cross-shard ClusterAuditor census on top of the
+// per-shard auditors, and --telemetry-dir writes one document per
+// shard (<cell>.json.shard<k>). The recorders and the artifact naming
+// come from tools/run_outputs.h, shared with strip_sim and
+// strip_replay.
 //
 // Cluster-level parameters are themselves sweepable: --x=shards or
 // --x=link_latency_us applies each value to the cell's cluster shape
@@ -70,27 +72,20 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "check/cluster_auditor.h"
-#include "check/invariant_auditor.h"
+#include "base/atomic_io.h"
 #include "core/cluster.h"
 #include "core/config.h"
-#include "core/metrics_json.h"
 #include "core/sharded_config.h"
-#include "exp/atomic_io.h"
 #include "exp/config_flags.h"
 #include "exp/experiment.h"
 #include "exp/report.h"
 #include "exp/sweep_cell.h"
-#include "obs/telemetry.h"
-#include "obs/trace/flight_recorder.h"
+#include "run_outputs.h"
 
 namespace {
 
@@ -160,7 +155,7 @@ using strip::exp::SweepCellName;
 // Writes a string atomically; any failure aborts the sweep (a silent
 // half-written grid is worse than a loud stop).
 void WriteOrFail(const std::string& path, const std::string& contents) {
-  if (const auto error = strip::exp::WriteFileAtomic(path, contents)) {
+  if (const auto error = strip::base::WriteFileAtomic(path, contents)) {
     Fail(*error);
   }
 }
@@ -251,19 +246,6 @@ int main(int argc, char** argv) {
   if (reps < 1) Fail("--reps must be at least 1");
   if (resume && out_dir.empty()) Fail("--resume needs --out-dir=DIR");
 
-  // A cluster-level x axis (--x=shards, --x=link_latency_us, ...)
-  // changes the cluster shape per cell, so every cell runs the
-  // Cluster path — including shards == 1 values, which stay seed- and
-  // metric-identical to single-System runs.
-  bool cluster_x = false;
-  for (const std::string& name : strip::exp::ShardedConfigFlagNames()) {
-    if (name == x_name) {
-      cluster_x = true;
-      break;
-    }
-  }
-  const bool sharded = cluster.shards > 1 || cluster_x;
-
   strip::exp::SweepSpec spec;
   spec.base = base;
   spec.cluster = cluster;
@@ -273,24 +255,16 @@ int main(int argc, char** argv) {
   spec.replications = reps;
   spec.base_seed = seed;
   spec.parallel = parallel;
-  if (cluster_x) {
-    spec.apply_x_cluster = [x_name](strip::core::ShardedConfig& config,
-                                    double x) {
-      char value[64];
-      std::snprintf(value, sizeof(value), "%.17g", x);
-      const auto error = strip::exp::ApplyConfigFlag(
-          x_name + "=" + value, config);
-      if (error.has_value()) Fail(*error);
-    };
-  } else {
-    spec.apply_x = [x_name](strip::core::Config& config, double x) {
-      char value[64];
-      std::snprintf(value, sizeof(value), "%.17g", x);
-      const auto error = strip::exp::ApplyConfigFlag(
-          x_name + "=" + value, config);
-      if (error.has_value()) Fail(*error);
-    };
-  }
+  // Every x name, base or cluster-level (--x=shards,
+  // --x=link_latency_us, ...), applies to the cell's cluster shape.
+  spec.apply_x_cluster = [x_name](strip::core::ShardedConfig& config,
+                                  double x) {
+    char value[64];
+    std::snprintf(value, sizeof(value), "%.17g", x);
+    const auto error =
+        strip::exp::ApplyConfigFlag(x_name + "=" + value, config);
+    if (error.has_value()) Fail(*error);
+  };
   spec.budget.wall_seconds = cell_timeout;
 
   // Progress reporting rides the sweep's serialized completion
@@ -326,221 +300,61 @@ int main(int argc, char** argv) {
     };
     if (resume) {
       for (const std::string& name :
-           strip::exp::RemoveStaleTmpFiles(out_dir)) {
+           strip::base::RemoveStaleTmpFiles(out_dir)) {
         std::fprintf(stderr,
                      "strip_sweep: removed stale partial write %s\n",
                      name.c_str());
       }
       spec.skip_cell = [&spec, out_dir](std::size_t p, std::size_t x) {
-        return strip::exp::FileExists(
+        return strip::base::FileExists(
             out_dir + "/cell_" + SweepCellName(spec.policies[p], x) + ".json");
       };
     }
   }
 
   // Validate the x parameter name and one full config up front, before
-  // launching the fleet. Sharded sweeps validate the cluster shape
-  // against the swept base too (per-shard override lengths, skew).
+  // launching the fleet, the cluster shape against the swept base
+  // included (per-shard override lengths, skew).
   {
     strip::core::ShardedConfig probe = cluster;
-    if (spec.apply_x) spec.apply_x(probe.base, x_values.front());
-    if (spec.apply_x_cluster) spec.apply_x_cluster(probe, x_values.front());
+    spec.apply_x_cluster(probe, x_values.front());
     if (const auto invalid = probe.Validate()) Fail(*invalid);
   }
 
   std::atomic<bool> audit_failed{false};
 
   // Per-cell recorders: the first replication of every (policy, x)
-  // cell carries a telemetry recorder and/or a flight recorder. The
-  // hook runs on worker threads; each cell writes its own files, so no
-  // cross-thread state is shared. A flight dump is only written for
-  // cells where an anomaly predicate actually tripped.
-  if (!sharded && (!telemetry_dir.empty() || !flight_dir.empty())) {
-    const std::vector<PolicyKind> hook_policies = policies;
-    spec.on_run = [telemetry_dir, flight_dir, hook_policies](
-                      strip::core::System& system,
-                      const strip::exp::RunContext& context)
-        -> strip::exp::RunFinisher {
-      if (context.replication != 0) return nullptr;
-      char cell[64];
-      std::snprintf(cell, sizeof(cell), "%s_%02zu",
-                    strip::core::PolicyKindName(
-                        hook_policies[context.policy_index]),
-                    context.x_index);
-      std::shared_ptr<strip::obs::RunTelemetry> telemetry;
-      std::string telemetry_path;
-      if (!telemetry_dir.empty()) {
-        strip::obs::RunTelemetry::Options options;
-        options.seed = context.seed;
-        telemetry = std::make_shared<strip::obs::RunTelemetry>(
-            &system, options);
-        telemetry_path = telemetry_dir + "/" + cell + ".json";
-      }
-      std::shared_ptr<strip::obs::trace::FlightRecorder> recorder;
-      std::string flight_path;
-      if (!flight_dir.empty()) {
-        recorder = std::make_shared<strip::obs::trace::FlightRecorder>();
-        system.AddObserver(recorder.get());
-        flight_path = flight_dir + "/flight_" + cell + ".txt";
-      }
-      return [telemetry, telemetry_path, recorder, flight_path](
-                 const strip::core::RunMetrics& metrics) {
-        if (telemetry != nullptr) {
-          std::ostringstream out;
-          telemetry->WriteJson(out, metrics);
-          WriteOrFail(telemetry_path, out.str());
-        }
-        if (recorder != nullptr && recorder->tripped()) {
-          std::ostringstream out;
-          recorder->DumpTo(out);
-          WriteOrFail(flight_path, out.str());
-        }
-      };
-    };
+  // cell carries the telemetry and flight recorders, --audit attaches
+  // the auditors to every replication. The hook runs on worker
+  // threads; each cell writes its own files, so the only shared state
+  // is the failure flag. A flight dump is only written for cells where
+  // an anomaly predicate actually tripped. A grid over a cluster-level
+  // x axis (or with --shards > 1) names its files per shard.
+  bool per_shard = cluster.shards > 1;
+  for (const std::string& name : strip::exp::ShardedConfigFlagNames()) {
+    per_shard = per_shard || name == x_name;
   }
-
-  // --audit layers the invariant auditor under the per-cell recorders
-  // on every replication. The hook runs on worker threads; the only
-  // shared state is the failure flag.
-  if (!sharded && audit) {
-    const strip::exp::RunHook base_hook = spec.on_run;
-    const std::vector<PolicyKind> hook_policies = policies;
-    spec.on_run = [base_hook, hook_policies, &audit_failed](
-                      strip::core::System& system,
-                      const strip::exp::RunContext& context)
-        -> strip::exp::RunFinisher {
-      auto auditor = std::make_shared<strip::check::InvariantAuditor>();
-      auditor->set_system(&system);
-      system.AddObserver(auditor.get());
-      strip::exp::RunFinisher base_finisher =
-          base_hook ? base_hook(system, context) : nullptr;
-      const std::string cell =
-          SweepCellName(hook_policies[context.policy_index], context.x_index);
-      const int replication = context.replication;
-      return [auditor, base_finisher, cell, replication, &audit_failed](
-                 const strip::core::RunMetrics& metrics) {
-        if (base_finisher) base_finisher(metrics);
-        if (!auditor->ok()) {
-          audit_failed.store(true, std::memory_order_relaxed);
-          std::fprintf(stderr,
-                       "strip_sweep: audit FAILED (cell %s, "
-                       "replication %d)\n%s",
-                       cell.c_str(), replication,
-                       auditor->Report().c_str());
-        }
-      };
-    };
-  }
-
-  // Sharded cells route observation through the cluster hook instead:
-  // telemetry and flight recorders attach per shard on the first
-  // replication, --audit attaches one InvariantAuditor per shard plus
-  // the cross-shard ClusterAuditor census on every replication.
-  if (sharded && (!telemetry_dir.empty() || !flight_dir.empty() || audit)) {
-    const std::vector<PolicyKind> hook_policies = policies;
-    spec.on_cluster_run = [telemetry_dir, flight_dir, audit, hook_policies,
-                           &audit_failed](
-                              strip::core::Cluster& cell_cluster,
-                              const strip::exp::RunContext& context)
-        -> strip::exp::RunFinisher {
-      struct Recorders {
-        std::vector<std::unique_ptr<strip::obs::RunTelemetry>> telemetry;
-        std::vector<std::unique_ptr<strip::obs::trace::FlightRecorder>>
-            flight;
-        std::vector<std::unique_ptr<strip::check::InvariantAuditor>>
-            auditors;
-        std::unique_ptr<strip::check::ClusterAuditor> census;
-      };
-      auto recorders = std::make_shared<Recorders>();
-      const std::string cell =
-          SweepCellName(hook_policies[context.policy_index], context.x_index);
-      const bool first = context.replication == 0;
-      if (first && !telemetry_dir.empty()) {
-        for (int s = 0; s < cell_cluster.shards(); ++s) {
-          strip::obs::RunTelemetry::Options options;
-          options.seed = context.seed;
-          options.shard = s;
-          options.shards = cell_cluster.shards();
-          recorders->telemetry.push_back(
-              std::make_unique<strip::obs::RunTelemetry>(
-                  &cell_cluster.shard(s), options));
-        }
-      }
-      if (first && !flight_dir.empty()) {
-        for (int s = 0; s < cell_cluster.shards(); ++s) {
-          auto recorder =
-              std::make_unique<strip::obs::trace::FlightRecorder>();
-          cell_cluster.shard(s).AddObserver(recorder.get());
-          recorders->flight.push_back(std::move(recorder));
-        }
-      }
-      if (audit) {
-        for (int s = 0; s < cell_cluster.shards(); ++s) {
-          auto auditor =
-              std::make_unique<strip::check::InvariantAuditor>();
-          auditor->set_system(&cell_cluster.shard(s));
-          cell_cluster.shard(s).AddObserver(auditor.get());
-          recorders->auditors.push_back(std::move(auditor));
-        }
-        recorders->census =
-            std::make_unique<strip::check::ClusterAuditor>();
-        recorders->census->set_cluster(&cell_cluster);
-        cell_cluster.AddObserverToAllShards(recorders->census.get());
-      }
-      if (recorders->telemetry.empty() && recorders->flight.empty() &&
-          recorders->auditors.empty()) {
-        return nullptr;
-      }
-      strip::core::Cluster* cluster_ptr = &cell_cluster;
-      const int replication = context.replication;
-      const std::string telemetry_base =
-          telemetry_dir.empty() ? std::string()
-                                : telemetry_dir + "/" + cell + ".json";
-      const std::string flight_base =
-          flight_dir.empty() ? std::string()
-                             : flight_dir + "/flight_" + cell;
-      return [recorders, cluster_ptr, cell, replication, telemetry_base,
-              flight_base,
-              &audit_failed](const strip::core::RunMetrics& metrics) {
-        (void)metrics;  // per-shard documents use shard metrics
-        for (std::size_t s = 0; s < recorders->telemetry.size(); ++s) {
-          std::ostringstream out;
-          recorders->telemetry[s]->WriteJson(
-              out, cluster_ptr->shard_metrics(static_cast<int>(s)));
-          WriteOrFail(telemetry_base + ".shard" + std::to_string(s),
-                      out.str());
-        }
-        for (std::size_t s = 0; s < recorders->flight.size(); ++s) {
-          if (!recorders->flight[s]->tripped()) continue;
-          std::ostringstream out;
-          recorders->flight[s]->DumpTo(out);
-          WriteOrFail(
-              flight_base + "_shard" + std::to_string(s) + ".txt",
-              out.str());
-        }
-        for (std::size_t s = 0; s < recorders->auditors.size(); ++s) {
-          if (recorders->auditors[s]->ok()) continue;
-          audit_failed.store(true, std::memory_order_relaxed);
-          std::fprintf(stderr,
-                       "strip_sweep: audit FAILED (cell %s, "
-                       "replication %d, shard %zu)\n%s",
-                       cell.c_str(), replication, s,
-                       recorders->auditors[s]->Report().c_str());
-        }
-        if (recorders->census != nullptr) {
-          recorders->census->FinishRun();
-          if (!recorders->census->ok()) {
-            audit_failed.store(true, std::memory_order_relaxed);
-            std::fprintf(stderr,
-                         "strip_sweep: cluster audit FAILED (cell %s, "
-                         "replication %d)\n%s",
-                         cell.c_str(), replication,
-                         recorders->census->Report().c_str());
-          }
-        }
-      };
-    };
-  }
+  spec.on_cluster_run = [&spec, telemetry_dir, flight_dir, audit, per_shard,
+                         &audit_failed](strip::core::Cluster& cell_cluster,
+                                        const strip::exp::RunContext& context) {
+    const std::string cell =
+        SweepCellName(spec.policies[context.policy_index], context.x_index);
+    strip::tools::RunOutputs outputs;
+    outputs.tool = "strip_sweep";
+    outputs.run_label =
+        "cell " + cell + ", replication " + std::to_string(context.replication);
+    outputs.seed = context.seed;
+    if (context.replication == 0 && !telemetry_dir.empty()) {
+      outputs.telemetry_path = telemetry_dir + "/" + cell + ".json";
+    }
+    if (context.replication == 0 && !flight_dir.empty()) {
+      outputs.flight_stem = flight_dir + "/flight_" + cell;
+    }
+    outputs.audit = audit;
+    outputs.per_shard = per_shard;
+    outputs.audit_failed = &audit_failed;
+    return strip::tools::AttachRunOutputs(cell_cluster, outputs);
+  };
 
   // With --resume, previously-finished cells are not re-run: their
   // authoritative results live in their cell files, and their rows in

@@ -46,8 +46,8 @@ void PrintEvents(const std::vector<ParsedEvent>& events) {
   std::printf("%-18s %14s %8s %8s %10s %-18s %s\n", "kind", "time", "txn",
               "update", "object", "detail", "reason");
   for (const ParsedEvent& event : events) {
-    char txn[24] = "";
-    char update[24] = "";
+    char txn[32] = "";
+    char update[32] = "";
     if (event.txn != kNoId) {
       std::snprintf(txn, sizeof(txn), "%llu",
                     static_cast<unsigned long long>(event.txn));
@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
         std::printf("\nremote robustness events:\n");
         any_remote = true;
       }
-      char txn[24] = "";
+      char txn[32] = "";
       if (event.txn != kNoId) {
         std::snprintf(txn, sizeof(txn), " txn=%llu",
                       static_cast<unsigned long long>(event.txn));
