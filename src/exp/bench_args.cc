@@ -5,6 +5,8 @@
 #include <cstring>
 #include <string>
 
+#include "exp/config_flags.h"
+
 namespace strip::exp {
 
 namespace {
@@ -19,10 +21,16 @@ bool ConsumePrefix(const char* arg, const char* prefix,
 
 [[noreturn]] void Usage(const char* program) {
   std::fprintf(stderr,
-               "usage: %s [--seconds=S] [--reps=N] [--seed=S] "
+               "usage: %s ID...|all [--seconds=S] [--reps=N] [--seed=S] "
                "[--jobs=N] [--pin-cores] [--csv] [--json=PATH] "
                "[--full]\n",
                program);
+  std::exit(2);
+}
+
+// Exits 2 naming the flag whose value failed strict parsing.
+[[noreturn]] void Malformed(const char* program, const char* arg) {
+  std::fprintf(stderr, "%s: malformed number in %s\n", program, arg);
   std::exit(2);
 }
 
@@ -34,13 +42,13 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
     const char* arg = argv[i];
     const char* rest = nullptr;
     if (ConsumePrefix(arg, "--seconds=", &rest)) {
-      args.seconds = std::atof(rest);
+      if (!ParseDouble(rest, &args.seconds)) Malformed(argv[0], arg);
     } else if (ConsumePrefix(arg, "--reps=", &rest)) {
-      args.replications = std::atoi(rest);
+      if (!ParseInt(rest, &args.replications)) Malformed(argv[0], arg);
     } else if (ConsumePrefix(arg, "--seed=", &rest)) {
-      args.seed = std::strtoull(rest, nullptr, 10);
+      if (!ParseUint64(rest, &args.seed)) Malformed(argv[0], arg);
     } else if (ConsumePrefix(arg, "--jobs=", &rest)) {
-      args.parallel.jobs = std::atoi(rest);
+      if (!ParseInt(rest, &args.parallel.jobs)) Malformed(argv[0], arg);
     } else if (ConsumePrefix(arg, "--threads=", &rest)) {
       std::fprintf(stderr,
                    "%s: --threads= was removed; use --jobs=%s\n", argv[0],
@@ -55,6 +63,8 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
     } else if (std::strcmp(arg, "--full") == 0) {
       args.seconds = 1000.0;
       args.replications = 3;
+    } else if (std::strncmp(arg, "--", 2) != 0) {
+      args.ids.emplace_back(arg);
     } else {
       Usage(argv[0]);
     }

@@ -1,6 +1,8 @@
-// Shared command-line handling for the per-figure bench binaries.
+// Command-line handling for the figures tool (bench/figures.cc).
 //
-// Every figure binary accepts:
+//   figures ID... | all [flags]
+//
+// Every argument that does not start with "--" is a figure id. Flags:
 //   --seconds=<double>   simulated seconds per run (default 200)
 //   --reps=<int>         replications (seeds) per cell (default 2)
 //   --seed=<uint64>      base seed (default 42)
@@ -11,8 +13,9 @@
 //   --json=<path>        also write every emitted series to a JSON file
 //   --full               paper scale: 1000 simulated seconds, 3 reps
 //
-// The defaults trade a little precision for wall time so the whole
-// bench suite finishes in minutes; --full reproduces the paper's
+// A malformed number ("--reps=2x", "--seed=abc") exits 2 naming the
+// flag. The defaults trade a little precision for wall time so the
+// whole suite finishes in minutes; --full reproduces the paper's
 // 1000-second runs exactly.
 
 #ifndef STRIP_EXP_BENCH_ARGS_H_
@@ -20,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/config.h"
 #include "exp/parallel_runner.h"
@@ -33,11 +37,14 @@ struct BenchArgs {
   // Worker-pool shape for the sweep (jobs + optional pinning).
   ParallelOptions parallel;
   bool csv = false;
-  // Non-empty: machine-readable results are (re)written here after
-  // each emitted series.
+  // Non-empty: every emitted series also goes to this JSON document,
+  // rewritten after each figure.
   std::string json;
+  // The positional arguments, in order: the figure ids to run.
+  std::vector<std::string> ids;
 
-  // Parses argv; exits with a usage message on unknown flags.
+  // Parses argv; exits 2 with a message on unknown flags and malformed
+  // values.
   static BenchArgs Parse(int argc, char** argv);
 
   // Applies run length to a config.

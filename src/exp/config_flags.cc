@@ -1,13 +1,52 @@
 #include "exp/config_flags.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <sstream>
 
 #include "fault/fault_schedule.h"
 
 namespace strip::exp {
+
+bool ParseDouble(const std::string& s, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end == s.c_str() || *end != '\0') return false;
+  // "nan"/"inf" parse fine but every range check downstream is an
+  // ordered comparison that NaN slips through; reject them here with a
+  // clear message instead of producing NaN results.
+  if (!std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+bool ParseInt(const std::string& s, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s.c_str(), &end, 10);
+  if (end == s.c_str() || *end != '\0' || errno == ERANGE) return false;
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
+bool ParseUint64(const std::string& s, std::uint64_t* out) {
+  // strtoull would accept a sign ("-1" wraps to 2^64 - 1) and leading
+  // blanks; a seed is digits only.
+  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = static_cast<std::uint64_t>(v);
+  return true;
+}
 
 namespace {
 
@@ -36,26 +75,6 @@ struct FlagRow {
 
 using FlagDef = FlagRow<Config>;
 using ShardedFlagDef = FlagRow<ShardedConfig>;
-
-bool ParseDouble(const std::string& s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') return false;
-  // "nan"/"inf" parse fine but every range check downstream is an
-  // ordered comparison that NaN slips through; reject them here with a
-  // clear message instead of producing NaN results.
-  if (!std::isfinite(v)) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseInt(const std::string& s, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') return false;
-  *out = static_cast<int>(v);
-  return true;
-}
 
 bool ParseBool(const std::string& s, bool* out) {
   if (s == "true" || s == "1" || s == "TRUE" || s == "on") {
@@ -287,7 +306,7 @@ const std::vector<FlagDef>& Flags() {
       BoolFlag("periodic_updates", &Config::periodic_updates,
                "periodic (round-robin) updates instead of Poisson"),
       {"txn_sched",
-       "transaction selection rule (value-density | edf | fcfs)",
+       "transaction selection rule (VD | EDF | FCFS)",
        [](const std::string& s, Config& c) {
          for (txn::TxnSchedPolicy policy :
               {txn::TxnSchedPolicy::kValueDensity,

@@ -16,6 +16,7 @@
 #ifndef STRIP_EXP_CONFIG_FLAGS_H_
 #define STRIP_EXP_CONFIG_FLAGS_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,6 +25,14 @@
 #include "core/sharded_config.h"
 
 namespace strip::exp {
+
+// Strict number parsing for flag values: the whole string must be one
+// number of the type (no trailing text, no overflow). ParseDouble also
+// rejects nan/inf; ParseUint64 takes digits only, so "-1" fails
+// instead of wrapping. On failure *out is left untouched.
+[[nodiscard]] bool ParseDouble(const std::string& s, double* out);
+[[nodiscard]] bool ParseInt(const std::string& s, int* out);
+[[nodiscard]] bool ParseUint64(const std::string& s, std::uint64_t* out);
 
 // Applies one "name=value" assignment (no leading dashes) to `config`.
 // Returns an error message on unknown names, unparsable values, or an

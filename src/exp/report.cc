@@ -125,4 +125,43 @@ void PrintSeriesJson(std::ostream& out, const SweepSpec& spec,
   out << "]}";
 }
 
+std::string SeriesDocument(const std::vector<std::string>& series) {
+  std::string document = "{\"series\": [";
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    document += (i ? ",\n  " : "\n  ") + series[i];
+  }
+  return document + "\n]}\n";
+}
+
+const MetricFn* FindMetric(const std::string& name) {
+  using core::RunMetrics;
+  struct NamedMetric {
+    const char* name;
+    MetricFn fn;
+  };
+  static const std::vector<NamedMetric>& metrics =
+      *new std::vector<NamedMetric>{
+          {"av", Metric(&RunMetrics::av)},
+          {"p_md", Metric(&RunMetrics::p_md)},
+          {"p_success", Metric(&RunMetrics::p_success)},
+          {"p_suc_nontardy", Metric(&RunMetrics::p_suc_nontardy)},
+          {"f_old_l", Metric(&RunMetrics::f_old_low)},
+          {"f_old_h", Metric(&RunMetrics::f_old_high)},
+          {"rho_t", Metric(&RunMetrics::rho_t)},
+          {"rho_u", Metric(&RunMetrics::rho_u)},
+          {"rho_total", Metric(&RunMetrics::rho_total)},
+          {"response_p95", Metric(&RunMetrics::response_p95)},
+          {"uq_avg", Metric(&RunMetrics::uq_length_avg)},
+          {"remote_retries", Metric(&RunMetrics::remote_retries)},
+          {"remote_timeouts", Metric(&RunMetrics::remote_timeouts)},
+          {"remote_degraded", Metric(&RunMetrics::remote_degraded_reads)},
+          {"remote_unavailable",
+           Metric(&RunMetrics::txns_remote_unavailable)},
+      };
+  for (const NamedMetric& metric : metrics) {
+    if (name == metric.name) return &metric.fn;
+  }
+  return nullptr;
+}
+
 }  // namespace strip::exp

@@ -1,14 +1,16 @@
-// Table and CSV emitters for sweep results.
+// Table, CSV and JSON emitters for sweep results, and the metric names
+// they plot.
 //
 // PrintSeries prints the same rows/series a paper figure plots: one row
-// per x value, one column per policy, for one metric. The bench
-// binaries under bench/ compose these into per-figure reports.
+// per x value, one column per policy, for one metric. The figures tool
+// (bench/figures.cc) and strip_sweep compose these into reports.
 
 #ifndef STRIP_EXP_REPORT_H_
 #define STRIP_EXP_REPORT_H_
 
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "exp/experiment.h"
 
@@ -37,11 +39,19 @@ void PrintSeriesRatio(std::ostream& out, const SweepSpec& spec,
 // Prints one series as a self-contained JSON object:
 //   {"metric": ..., "x_name": ..., "x": [...], "policies": [...],
 //    "mean": [[per-policy rows]], "ci95": [[per-policy rows]]}
-// Callers compose these into a document (see bench_util's --json and
-// strip_sweep --json=PATH).
+// Callers compose these into a document with SeriesDocument.
 void PrintSeriesJson(std::ostream& out, const SweepSpec& spec,
                      const SweepResult& result,
                      const std::string& metric_name, const MetricFn& metric);
+
+// The results document of strip_sweep --json and figures --json: the
+// PrintSeriesJson objects in order, as {"series": [...]}.
+std::string SeriesDocument(const std::vector<std::string>& series);
+
+// The metric with short name `name` (av, p_success, f_old_l, ...), or
+// null if there is none: the one name table behind strip_sweep
+// --metrics= and the figure rows.
+const MetricFn* FindMetric(const std::string& name);
 
 }  // namespace strip::exp
 

@@ -24,7 +24,7 @@ namespace strip::txn {
 // How the next transaction is chosen from the ready queue. The paper
 // fixes value density (Section 3.4); earliest-deadline-first and
 // first-come-first-served are the classic alternatives, provided for
-// comparison (see bench/abl_txn_sched).
+// comparison (see `figures abl_txn_sched`).
 enum class TxnSchedPolicy {
   kValueDensity = 0,   // max value / remaining processing time
   kEarliestDeadline,   // min deadline

@@ -1,5 +1,8 @@
 #include "exp/bench_args.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace strip::exp {
@@ -56,6 +59,32 @@ TEST(BenchArgsDeathTest, UnknownFlagExits) {
 
 TEST(BenchArgsDeathTest, NonPositiveSecondsExits) {
   EXPECT_EXIT(Parse({"--seconds=0"}), ::testing::ExitedWithCode(2), "usage");
+}
+
+TEST(BenchArgsTest, CollectsPositionalIdsInOrder) {
+  const BenchArgs args =
+      Parse({"fig05_staleness", "--reps=1", "table1_params", "all"});
+  EXPECT_EQ(args.ids, (std::vector<std::string>{"fig05_staleness",
+                                                 "table1_params", "all"}));
+  EXPECT_EQ(args.replications, 1);
+  EXPECT_TRUE(Parse({}).ids.empty());
+}
+
+TEST(BenchArgsTest, ParsesJsonPathAndFullSeed) {
+  const BenchArgs args =
+      Parse({"--json=out.json", "--seed=18446744073709551615"});
+  EXPECT_EQ(args.json, "out.json");
+  EXPECT_EQ(args.seed, 18446744073709551615u);
+}
+
+TEST(BenchArgsDeathTest, MalformedNumbersExitNamingTheFlag) {
+  for (const char* bad :
+       {"--seconds=2x", "--seconds=abc", "--seconds=nan", "--reps=2x",
+        "--reps=", "--seed=abc", "--seed=-1", "--seed=7.5", "--jobs=two"}) {
+    EXPECT_EXIT(Parse({bad}), ::testing::ExitedWithCode(2),
+                std::string("malformed number in ") + bad)
+        << bad;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "exp/config_flags.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -173,6 +174,53 @@ TEST(ConfigFlagsTest, RejectedAssignmentsLeaveConfigUntouched) {
     EXPECT_EQ(config.lambda_t, defaults.lambda_t) << bad;
     EXPECT_EQ(config.policy, defaults.policy) << bad;
   }
+}
+
+TEST(ConfigFlagsTest, ParseDoubleIsStrict) {
+  double v = -1;
+  EXPECT_TRUE(ParseDouble("1e3", &v));
+  EXPECT_DOUBLE_EQ(v, 1000.0);
+  EXPECT_TRUE(ParseDouble("-0.25", &v));
+  EXPECT_DOUBLE_EQ(v, -0.25);
+  for (const char* bad : {"", "abc", "2x", "1e3x", "1.5.2", "nan", "inf"}) {
+    v = 7;
+    EXPECT_FALSE(ParseDouble(bad, &v)) << bad;
+    EXPECT_DOUBLE_EQ(v, 7.0) << bad;
+  }
+}
+
+TEST(ConfigFlagsTest, ParseIntIsStrict) {
+  int v = -1;
+  EXPECT_TRUE(ParseInt("42", &v));
+  EXPECT_EQ(v, 42);
+  EXPECT_TRUE(ParseInt("-3", &v));
+  EXPECT_EQ(v, -3);
+  for (const char* bad :
+       {"", "abc", "2x", "2.5", "1e3", "4294967296", "99999999999999999999"}) {
+    v = 7;
+    EXPECT_FALSE(ParseInt(bad, &v)) << bad;
+    EXPECT_EQ(v, 7) << bad;
+  }
+}
+
+TEST(ConfigFlagsTest, ParseUint64TakesDigitsOnly) {
+  std::uint64_t v = 0;
+  EXPECT_TRUE(ParseUint64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &v));
+  EXPECT_EQ(v, 18446744073709551615u);
+  for (const char* bad : {"", "abc", "12ab", "-1", "+1", " 1", "1.0",
+                          "18446744073709551616"}) {
+    v = 7;
+    EXPECT_FALSE(ParseUint64(bad, &v)) << bad;
+    EXPECT_EQ(v, 7u) << bad;
+  }
+}
+
+TEST(ConfigFlagsTest, IntFlagRejectsOutOfRangeValue) {
+  core::Config config;
+  EXPECT_TRUE(ApplyConfigFlag("n_low=4294967796", config).has_value());
+  EXPECT_EQ(config.n_low, core::Config().n_low);
 }
 
 TEST(ConfigFlagsTest, FlagNamesCoverTheTables) {

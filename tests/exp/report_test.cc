@@ -80,5 +80,42 @@ TEST(ReportTest, RatioHandlesZeroDenominator) {
   EXPECT_NE(out.str().find("0.0000"), std::string::npos);
 }
 
+TEST(ReportTest, SeriesDocumentWrapsSeriesInOrder) {
+  EXPECT_EQ(SeriesDocument({"{\"a\": 1}", "{\"b\": 2}"}),
+            "{\"series\": [\n  {\"a\": 1},\n  {\"b\": 2}\n]}\n");
+  EXPECT_EQ(SeriesDocument({}), "{\"series\": [\n]}\n");
+}
+
+TEST(ReportTest, SeriesDocumentHoldsPrintSeriesJson) {
+  std::ostringstream series;
+  PrintSeriesJson(series, HandSpec(), HandResult(1.0), "AV", kAv);
+  EXPECT_EQ(SeriesDocument({series.str()}),
+            "{\"series\": [\n  {\"metric\": \"AV\", \"x_name\": "
+            "\"lambda_t\", \"x\": [5, 10], \"policies\": [\"UF\", "
+            "\"TF\"], \"replications\": 1, \"mean\": [[1, 2], [11, 12]], "
+            "\"ci95\": [[0, 0], [0, 0]]}\n]}\n");
+}
+
+TEST(ReportTest, FindMetricResolvesShortNames) {
+  core::RunMetrics m;
+  m.observed_seconds = 2;
+  m.value_committed = 10;
+  m.f_old_low = 0.25;
+  ASSERT_NE(FindMetric("av"), nullptr);
+  EXPECT_DOUBLE_EQ((*FindMetric("av"))(m), 5.0);
+  ASSERT_NE(FindMetric("f_old_l"), nullptr);
+  EXPECT_DOUBLE_EQ((*FindMetric("f_old_l"))(m), 0.25);
+  ASSERT_NE(FindMetric("rho_total"), nullptr);
+  EXPECT_DOUBLE_EQ((*FindMetric("rho_total"))(m), m.rho_total());
+  for (const char* name :
+       {"p_md", "p_success", "p_suc_nontardy", "f_old_h", "rho_t", "rho_u",
+        "response_p95", "uq_avg", "remote_retries", "remote_timeouts",
+        "remote_degraded", "remote_unavailable"}) {
+    EXPECT_NE(FindMetric(name), nullptr) << name;
+  }
+  EXPECT_EQ(FindMetric("AV"), nullptr);
+  EXPECT_EQ(FindMetric(""), nullptr);
+}
+
 }  // namespace
 }  // namespace strip::exp

@@ -52,7 +52,11 @@ int main(int argc, char** argv) {
   }
   for (const std::string& arg : rest) {
     if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!strip::exp::ParseUint64(arg.substr(7), &seed)) {
+        std::fprintf(stderr, "strip_replay: malformed number in %s\n",
+                     arg.c_str());
+        return 2;
+      }
     } else if (arg.rfind("--chrome-trace=", 0) == 0) {
       chrome_trace_path = arg.substr(15);
     } else if (arg == "--quiet") {

@@ -159,9 +159,17 @@ int main(int argc, char** argv) {
   std::string chrome_trace_path;
   for (const std::string& arg : rest) {
     if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!strip::exp::ParseUint64(arg.substr(7), &seed)) {
+        std::fprintf(stderr, "strip_sim: malformed number in %s\n",
+                     arg.c_str());
+        return 2;
+      }
     } else if (arg.rfind("--reps=", 0) == 0) {
-      reps = std::atoi(arg.c_str() + 7);
+      if (!strip::exp::ParseInt(arg.substr(7), &reps)) {
+        std::fprintf(stderr, "strip_sim: malformed number in %s\n",
+                     arg.c_str());
+        return 2;
+      }
     } else if (arg.rfind("--telemetry=", 0) == 0) {
       telemetry_path = arg.substr(12);
     } else if (arg.rfind("--chrome-trace=", 0) == 0) {

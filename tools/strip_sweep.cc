@@ -45,8 +45,8 @@
 //
 // Any Config parameter (see strip_sim --help) can be fixed with
 // --name=value and any numeric one swept with --x/--values. This is
-// the same machinery the per-figure bench binaries use, exposed for
-// ad-hoc exploration.
+// the same machinery the figures tool (bench/figures.cc) uses, exposed
+// for ad-hoc exploration; --metrics= names come from exp::FindMetric.
 //
 // Every cell is a core::Cluster run; the default --shards=1 is the
 // paper's uniprocessor model. Cluster-level flags (--shards=,
@@ -91,30 +91,9 @@ namespace {
 
 using strip::core::PolicyKind;
 using strip::core::RunMetrics;
-
-struct MetricDef {
-  const char* name;
-  strip::exp::MetricFn fn;
-};
-
-using strip::exp::Metric;
-
-const MetricDef kMetrics[] = {
-    {"av", Metric(&RunMetrics::av)},
-    {"p_md", Metric(&RunMetrics::p_md)},
-    {"p_success", Metric(&RunMetrics::p_success)},
-    {"p_suc_nontardy", Metric(&RunMetrics::p_suc_nontardy)},
-    {"f_old_l", Metric(&RunMetrics::f_old_low)},
-    {"f_old_h", Metric(&RunMetrics::f_old_high)},
-    {"rho_t", Metric(&RunMetrics::rho_t)},
-    {"rho_u", Metric(&RunMetrics::rho_u)},
-    {"response_p95", Metric(&RunMetrics::response_p95)},
-    {"uq_avg", Metric(&RunMetrics::uq_length_avg)},
-    {"remote_retries", Metric(&RunMetrics::remote_retries)},
-    {"remote_timeouts", Metric(&RunMetrics::remote_timeouts)},
-    {"remote_degraded", Metric(&RunMetrics::remote_degraded_reads)},
-    {"remote_unavailable", Metric(&RunMetrics::txns_remote_unavailable)},
-};
+using strip::exp::ParseDouble;
+using strip::exp::ParseInt;
+using strip::exp::ParseUint64;
 
 std::vector<std::string> SplitCommas(const std::string& list) {
   std::vector<std::string> items;
@@ -195,7 +174,9 @@ int main(int argc, char** argv) {
       x_name = arg.substr(4);
     } else if (arg.rfind("--values=", 0) == 0) {
       for (const std::string& v : SplitCommas(arg.substr(9))) {
-        x_values.push_back(std::atof(v.c_str()));
+        double x = 0;
+        if (!ParseDouble(v, &x)) Fail("malformed number in " + arg);
+        x_values.push_back(x);
       }
     } else if (arg.rfind("--policies=", 0) == 0) {
       policies.clear();
@@ -205,11 +186,15 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--metrics=", 0) == 0) {
       metric_names = SplitCommas(arg.substr(10));
     } else if (arg.rfind("--reps=", 0) == 0) {
-      reps = std::atoi(arg.c_str() + 7);
+      if (!ParseInt(arg.substr(7), &reps)) Fail("malformed number in " + arg);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!ParseUint64(arg.substr(7), &seed)) {
+        Fail("malformed number in " + arg);
+      }
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      parallel.jobs = std::atoi(arg.c_str() + 7);
+      if (!ParseInt(arg.substr(7), &parallel.jobs)) {
+        Fail("malformed number in " + arg);
+      }
     } else if (arg.rfind("--threads=", 0) == 0) {
       Fail("--threads= was removed; use --jobs=" + arg.substr(10));
     } else if (arg == "--pin-cores") {
@@ -234,7 +219,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--audit") {
       audit = true;
     } else if (arg.rfind("--cell-timeout=", 0) == 0) {
-      cell_timeout = std::atof(arg.c_str() + 15);
+      if (!ParseDouble(arg.substr(15), &cell_timeout)) {
+        Fail("malformed number in " + arg);
+      }
       if (cell_timeout <= 0) Fail("--cell-timeout needs seconds > 0");
     } else {
       Fail("unknown flag: " + arg + " (config flags need --name=value)");
@@ -376,31 +363,25 @@ int main(int argc, char** argv) {
   }
 
   const strip::exp::SweepResult result = strip::exp::RunSweep(spec);
-  std::ostringstream json;
-  if (!json_path.empty()) json << "{\"series\": [";
-  bool first_series = true;
+  std::vector<std::string> json_series;
   for (const std::string& metric_name : metric_names) {
-    const MetricDef* found = nullptr;
-    for (const MetricDef& metric : kMetrics) {
-      if (metric_name == metric.name) found = &metric;
-    }
-    if (found == nullptr) Fail("unknown metric: " + metric_name);
-    strip::exp::PrintSeries(std::cout, spec, result, metric_name,
-                            found->fn, /*with_ci=*/reps > 1);
+    const strip::exp::MetricFn* metric = strip::exp::FindMetric(metric_name);
+    if (metric == nullptr) Fail("unknown metric: " + metric_name);
+    strip::exp::PrintSeries(std::cout, spec, result, metric_name, *metric,
+                            /*with_ci=*/reps > 1);
     if (csv) {
       strip::exp::PrintSeriesCsv(std::cout, spec, result, metric_name,
-                                 found->fn);
+                                 *metric);
     }
     if (!json_path.empty()) {
-      json << (first_series ? "\n  " : ",\n  ");
-      first_series = false;
-      strip::exp::PrintSeriesJson(json, spec, result, metric_name,
-                                  found->fn);
+      std::ostringstream series;
+      strip::exp::PrintSeriesJson(series, spec, result, metric_name,
+                                  *metric);
+      json_series.push_back(series.str());
     }
   }
   if (!json_path.empty()) {
-    json << "\n]}\n";
-    WriteOrFail(json_path, json.str());
+    WriteOrFail(json_path, strip::exp::SeriesDocument(json_series));
   }
   return audit_failed.load() ? 3 : 0;
 }
