@@ -6,7 +6,7 @@
 // push/pop/purge under both the realistic near-in-generation-order
 // arrival pattern and an adversarial random one, the database apply,
 // staleness-tracker and ready-queue paths, and an end-to-end
-// 60-simulated-second baseline run.
+// 60-simulated-second baseline run, bare and with observers attached.
 //
 // CI runs this with --benchmark_min_time=0.1x and uploads the JSON:
 //   perf_core --benchmark_out=BENCH_core.json --benchmark_out_format=json
@@ -21,8 +21,11 @@
 // scripts/check_bench_build_type.sh gates checked-in baselines on
 // strip_build_type == "release".
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <ostream>
+#include <streambuf>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -33,6 +36,7 @@
 #include "db/database.h"
 #include "db/staleness.h"
 #include "db/update_queue.h"
+#include "obs/trace/chrome_trace.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
@@ -300,25 +304,59 @@ BENCHMARK(BM_SimEndToEnd60s)
     ->Arg(static_cast<int>(core::PolicyKind::kOnDemand))
     ->Unit(benchmark::kMillisecond);
 
-// Observer overhead: the same 60-simulated-second baseline run with a
-// no-op observer attached. Arg 0 runs bare (the bus's emptiness test
-// only), arg 1 attaches an observer that receives every lifecycle
-// hook and does nothing. The gap between the two is the cost of the
-// tracing layer's hook plumbing; the bare variant should match
-// BM_SimEndToEnd60s within noise.
+// Observer overhead: the same 60-simulated-second baseline run with
+// observers attached. Arg 0 runs bare (the bus's emptiness test only),
+// arg 1 attaches an observer that receives every lifecycle hook and
+// does nothing, arg 2 attaches a ChromeTraceWriter whose stream
+// discards its bytes. The gap between 0 and 1 is the cost of the hook
+// plumbing, and the gap between 1 and 2 is trace emission, also given
+// as records_per_s; the bare variant should match BM_SimEndToEnd60s
+// within noise.
 class NoopObserver final : public core::SystemObserver {};
 
+// A buffered stream buffer that throws its contents away when full.
+class DiscardingBuffer final : public std::streambuf {
+ public:
+  DiscardingBuffer() { Reset(); }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    Reset();
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      sputc(traits_type::to_char_type(ch));
+    }
+    return traits_type::not_eof(ch);
+  }
+
+ private:
+  void Reset() { setp(buffer_.data(), buffer_.data() + buffer_.size()); }
+
+  std::array<char, 64 * 1024> buffer_{};
+};
+
 void BM_SimObserverOverhead60s(benchmark::State& state) {
-  const bool attach = state.range(0) != 0;
+  const int mode = static_cast<int>(state.range(0));
   std::uint64_t events = 0;
+  std::uint64_t records = 0;
   NoopObserver observer;
+  DiscardingBuffer discard;
+  std::ostream sink(&discard);
   for (auto _ : state) {
     core::Config config;
     config.sim_seconds = 60.0;
     sim::Simulator simulator;
     core::System system(&simulator, config, base::RngSeed(1));
-    if (attach) system.AddObserver(&observer);
+    std::unique_ptr<obs::trace::ChromeTraceWriter> trace;
+    if (mode == 1) system.AddObserver(&observer);
+    if (mode == 2) {
+      trace = std::make_unique<obs::trace::ChromeTraceWriter>(&sink);
+      system.AddObserver(trace.get());
+    }
     benchmark::DoNotOptimize(system.Run());
+    if (trace != nullptr) {
+      trace->Finish();
+      records += trace->events_written();
+    }
     events += simulator.events_dispatched();
   }
   state.counters["sim_s_per_wall_s"] = benchmark::Counter(
@@ -326,10 +364,15 @@ void BM_SimObserverOverhead60s(benchmark::State& state) {
       benchmark::Counter::kIsRate);
   state.counters["events_per_s"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
+  if (mode == 2) {
+    state.counters["records_per_s"] = benchmark::Counter(
+        static_cast<double>(records), benchmark::Counter::kIsRate);
+  }
 }
 BENCHMARK(BM_SimObserverOverhead60s)
     ->Arg(0)
     ->Arg(1)
+    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 // Auditor overhead: the same 60-simulated-second baseline run with the

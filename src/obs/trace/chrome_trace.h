@@ -41,6 +41,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -52,6 +53,9 @@ namespace strip::obs::trace {
 // (written on construction), the event-record commas, and the closing
 // "]}" (written by Finish). One or many ChromeTraceWriters append to
 // it; events interleave in emission order.
+//
+// Records are appended straight into one buffer, which goes to the
+// stream with one write() per 64 KiB at most, and at Finish.
 class ChromeTraceDocument {
  public:
   // Streams to `out`, which must outlive the document.
@@ -61,7 +65,8 @@ class ChromeTraceDocument {
   ChromeTraceDocument(const ChromeTraceDocument&) = delete;
   ChromeTraceDocument& operator=(const ChromeTraceDocument&) = delete;
 
-  // Writes the closing bracket. Idempotent; call only after every
+  // Writes the closing bracket and hands every buffered byte to the
+  // stream, then flushes it. Idempotent; call only after every
   // writer's Finish().
   void Finish();
 
@@ -69,12 +74,15 @@ class ChromeTraceDocument {
 
  private:
   friend class ChromeTraceWriter;
-  // One raw JSON event object; `body` is everything after the opening
-  // brace, without the closing brace.
-  void WriteRaw(const std::string& body);
+  // Opens one event record (its separator and "{") and returns the
+  // buffer to append the record's body to.
+  std::string& BeginRecord();
+  // Closes the record with "}"; writes the buffer out once it is full.
+  void EndRecord();
+  void WriteBuffer();
 
   std::ostream* out_;
-  bool first_ = true;
+  std::string buffer_;
   bool finished_ = false;
   std::uint64_t events_written_ = 0;
 };
@@ -110,10 +118,19 @@ class ChromeTraceWriter : public TraceCollector {
   void Emit(const TraceEvent& event) override;
 
  private:
-  void WriteRaw(const std::string& body);
+  // Opens a record in the document; EndRecord closes it.
+  std::string& BeginRecord();
+  void EndRecord() { document_->EndRecord(); }
+  // Opens a record and appends its head, through the current "ts":
+  // name, cat, ph (the phase plus any phase fields, already quoted),
+  // pid and tid.
+  std::string& BeginEvent(std::string_view name, std::string_view cat,
+                          std::string_view ph, std::uint64_t tid);
   // Ensures the transaction's track has a thread_name metadata record.
+  // A record that uses the track calls this before it begins.
   std::uint64_t TxnTid(std::uint64_t txn_id, txn::TxnClass cls);
-  void WriteMeta(std::uint64_t tid, const char* name);
+  void WriteMeta(std::uint64_t tid, std::string_view name);
+  void WriteTrackNames(std::string_view process_name);
 
   std::unique_ptr<ChromeTraceDocument> owned_document_;
   ChromeTraceDocument* document_;
@@ -126,8 +143,10 @@ class ChromeTraceWriter : public TraceCollector {
   std::uint64_t open_tid_ = 0;
   const char* open_name_ = nullptr;
   bool span_open_ = false;
-  // Last timestamp emitted, used to close an end-of-run open span.
-  std::string last_ts_ = "0.000";
+  // The "ts" text of the last event's time, reformatted only when the
+  // time changes; also closes an end-of-run open span.
+  sim::Time stamp_time_ = 0;
+  std::string stamp_ = "0.000";
   // Transactions whose track metadata has been written.
   std::unordered_set<std::uint64_t> named_txns_;
   // Enqueue timestamp per queued update id, for the OD flow arrow's

@@ -134,6 +134,18 @@ TEST(RunOutputsTest, PerShardNamesOneShardLikeM) {
             std::string::npos);
 }
 
+// A trace the stream could not take (here: a full device) fails the
+// run the way an unwritable telemetry file does.
+TEST(RunOutputsDeathTest, TraceWriteFailureExitsTwo) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  RunOutputs outputs;
+  outputs.tool = "run_outputs_test";
+  outputs.chrome_trace_path = "/dev/full";
+  EXPECT_EXIT(RunWithOutputs(Overloaded(1), outputs),
+              ::testing::ExitedWithCode(2),
+              "run_outputs_test: cannot write trace to /dev/full");
+}
+
 TEST(RunOutputsTest, NothingRequestedAttachesNothing) {
   sim::Simulator simulator;
   core::Cluster cluster(&simulator, Overloaded(2), base::RngSeed(kSeed));

@@ -119,7 +119,14 @@ exp::RunFinisher AttachRunOutputs(core::Cluster& cluster,
                   out.str());
     }
     for (auto& writer : recorders->trace) writer->Finish();
-    if (recorders->trace_doc != nullptr) recorders->trace_doc->Finish();
+    if (recorders->trace_doc != nullptr) {
+      recorders->trace_doc->Finish();
+      recorders->trace_out->close();
+      if (!*recorders->trace_out) {
+        Fail(outputs.tool,
+             "cannot write trace to " + outputs.chrome_trace_path);
+      }
+    }
     for (std::size_t s = 0; s < recorders->flight.size(); ++s) {
       if (!recorders->flight[s]->tripped()) continue;
       std::ostringstream out;
