@@ -233,8 +233,8 @@ void BM_DatabaseApply(benchmark::State& state) {
 BENCHMARK(BM_DatabaseApply);
 
 // Maximum-Age tracking: one apply per 2.5 ms of simulated time, with
-// the clock advanced so expiry events fire and superseded ones are
-// reclaimed, as in a real run.
+// the clock advanced so the expiry timer fires and the index entries
+// that applies superseded are skipped, as in a real run.
 void BM_StalenessTrackerApply(benchmark::State& state) {
   sim::Simulator simulator;
   db::StalenessTracker tracker(&simulator,
@@ -253,6 +253,30 @@ void BM_StalenessTrackerApply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StalenessTrackerApply);
+
+// Maximum Age at uf_wide's population (range(0) objects per class):
+// construct the tracker, run to alpha so every initial expiry fires,
+// destroy it. The per-object unit cost of set-up and of the first
+// expiry wave.
+void BM_StalenessTrackerWide(benchmark::State& state) {
+  const int per_class = static_cast<int>(state.range(0));
+  constexpr double kAlpha = 7.0;
+  for (auto _ : state) {
+    sim::Simulator simulator;
+    db::StalenessTracker tracker(&simulator,
+                                 db::StalenessCriterion::kMaxAge, kAlpha,
+                                 per_class, per_class);
+    simulator.RunUntil(kAlpha);
+    benchmark::DoNotOptimize(
+        tracker.StaleCount(db::ObjectClass::kLowImportance));
+  }
+  state.counters["objects_per_s"] = benchmark::Counter(
+      2.0 * per_class * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_StalenessTrackerWide)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
 
 // Transaction scheduling: pop the best of 32 ready transactions and
 // put it back.

@@ -5,6 +5,14 @@
 #include "base/check.h"
 
 namespace strip::db {
+namespace {
+
+// Heap order for the out-of-order expiries: the earliest on top.
+constexpr auto kLaterExpiry = [](const auto& a, const auto& b) {
+  return b.key < a.key;
+};
+
+}  // namespace
 
 const char* StalenessCriterionName(StalenessCriterion criterion) {
   switch (criterion) {
@@ -44,6 +52,7 @@ StalenessTracker::StalenessTracker(sim::Simulator* simulator,
   if (UsesMaxAge()) {
     // All objects start with generation time 0 and will expire at
     // alpha unless refreshed first.
+    run_.reserve(static_cast<std::size_t>(n_low) + n_high);
     for (int i = 0; i < n_low; ++i) {
       ScheduleExpiry({ObjectClass::kLowImportance, i});
     }
@@ -67,8 +76,10 @@ const StalenessTracker::ObjectState& StalenessTracker::state(
 }
 
 bool StalenessTracker::ComputeStale(const ObjectState& s) const {
-  // >= so the flag flips exactly when the expiry event fires at
-  // freshness + max_age (the boundary itself has measure zero).
+  // >= so the flag flips when the expiry fires at freshness + max_age
+  // (the boundary itself has measure zero). Rounding can leave
+  // fl(freshness + max_age) - freshness just under max_age; the flag
+  // then stays fresh until the object's next refresh.
   const bool ma_stale = simulator_->now() - s.freshness >= max_age_;
   const bool uu_stale =
       !s.queued.empty() && s.queued.back().first > s.db_generation;
@@ -95,15 +106,94 @@ void StalenessTracker::Refresh(ObjectId id) {
 
 void StalenessTracker::ScheduleExpiry(ObjectId id) {
   ObjectState& s = state(id);
-  simulator_->Cancel(s.expiry);
   const sim::Time expiry_time = s.freshness + max_age_;
   if (expiry_time <= simulator_->now()) {
-    // Already older than alpha — stale immediately; no event needed.
+    // Already older than alpha — stale immediately; no expiry needed.
+    s.expiry_sequence = kNoExpiry;
     Refresh(id);
     return;
   }
-  s.expiry =
-      simulator_->ScheduleAt(expiry_time, [this, id] { Refresh(id); });
+  // The sequence a per-object ScheduleAt would have taken keeps this
+  // expiry's place among events at its instant.
+  s.expiry_sequence = simulator_->ReserveSequence();
+  const Expiry expiry{{expiry_time, s.expiry_sequence}, id};
+  // Sequences only grow, so an expiry no earlier than the run's last
+  // one also sorts after it.
+  if (run_.empty() || expiry_time >= run_.back().key.at) {
+    // Drop the consumed prefix once it is half the run: each entry is
+    // moved at most once per entry consumed before it.
+    if (run_head_ > 0 && run_head_ * 2 >= run_.size()) {
+      run_.erase(run_.begin(),
+                 run_.begin() + static_cast<std::ptrdiff_t>(run_head_));
+      run_head_ = 0;
+    }
+    run_.push_back(expiry);
+  } else {
+    out_of_order_.push_back(expiry);
+    std::push_heap(out_of_order_.begin(), out_of_order_.end(), kLaterExpiry);
+  }
+  ArmTimer(expiry.key);
+}
+
+const StalenessTracker::Expiry* StalenessTracker::EarliestExpiry() {
+  const auto superseded = [this](const Expiry& e) {
+    return state(e.object).expiry_sequence != e.key.sequence;
+  };
+  while (run_head_ < run_.size() && superseded(run_[run_head_])) {
+    PopExpiry(&run_[run_head_]);
+  }
+  while (!out_of_order_.empty() && superseded(out_of_order_.front())) {
+    PopExpiry(&out_of_order_.front());
+  }
+  const Expiry* run = run_head_ < run_.size() ? &run_[run_head_] : nullptr;
+  const Expiry* heap =
+      out_of_order_.empty() ? nullptr : &out_of_order_.front();
+  if (run == nullptr) return heap;
+  if (heap == nullptr) return run;
+  return heap->key < run->key ? heap : run;
+}
+
+void StalenessTracker::PopExpiry(const Expiry* expiry) {
+  if (!out_of_order_.empty() && expiry == &out_of_order_.front()) {
+    std::pop_heap(out_of_order_.begin(), out_of_order_.end(), kLaterExpiry);
+    out_of_order_.pop_back();
+    return;
+  }
+  STRIP_CHECK(run_head_ < run_.size() && expiry == &run_[run_head_]);
+  if (++run_head_ == run_.size()) {
+    run_.clear();
+    run_head_ = 0;
+  }
+}
+
+void StalenessTracker::ArmTimer(const ExpiryKey& key) {
+  if (!timers_.empty() && !(key < timers_.back())) return;
+  timers_.push_back(key);
+  simulator_->ScheduleReserved(key.at, key.sequence,
+                               [this] { OnExpiryTimer(); });
+}
+
+void StalenessTracker::OnExpiryTimer() {
+  STRIP_CHECK(!timers_.empty());
+  const ExpiryKey fired = timers_.back();
+  timers_.pop_back();
+  const sim::Time now = simulator_->now();
+  STRIP_CHECK(fired.at == now);
+  while (const Expiry* next = EarliestExpiry()) {
+    STRIP_CHECK_MSG(!(next->key < fired), "MA expiry passed its timer");
+    // The expiry at this timer's key is due now. A later one at this
+    // instant is due too when no other pending event would be
+    // dispatched first; anything else waits for its own timer.
+    if (!(next->key == fired) &&
+        (next->key.at != now ||
+         simulator_->HasPendingBefore(now, next->key.sequence))) {
+      ArmTimer(next->key);
+      return;
+    }
+    const ObjectId id = next->object;
+    PopExpiry(next);
+    Refresh(id);
+  }
 }
 
 void StalenessTracker::ResetObservation() {

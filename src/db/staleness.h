@@ -18,10 +18,17 @@
 // write, queue insert/remove, and MA expiry updates a per-object flag
 // and a time-weighted stale count, so the staleness fraction f_old of
 // Section 3.5 is an exact integral rather than a sampled estimate.
+//
+// MA expiries live in an index the tracker owns, so no object holds a
+// simulator event. Scheduling an expiry reserves the event sequence a
+// ScheduleAt would have taken, and a single timer, armed at the
+// earliest expiry's exact (time, sequence) key, fires every expiry in
+// the place its own event would have had among same-instant events.
 
 #ifndef STRIP_DB_STALENESS_H_
 #define STRIP_DB_STALENESS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -56,7 +63,7 @@ class StalenessTracker {
  public:
   // `max_age` is alpha; it is ignored under kUnappliedUpdate. All
   // objects start fresh with generation time 0 (matching Database's
-  // initial state). The tracker schedules its own MA expiry events on
+  // initial state). The tracker schedules its MA expiry timer on
   // `simulator`, which must outlive it.
   StalenessTracker(sim::Simulator* simulator, StalenessCriterion criterion,
                    sim::Duration max_age, int n_low, int n_high);
@@ -116,8 +123,29 @@ class StalenessTracker {
     // so ordered insert/erase are a short memmove with no allocation,
     // and the UU check reads the max straight off the back.
     std::vector<std::pair<sim::Time, std::uint64_t>> queued;
-    sim::EventQueue::Handle expiry;
+    // Sequence of the object's current MA expiry; index entries under
+    // any other sequence are superseded and skipped.
+    std::uint64_t expiry_sequence = kNoExpiry;
     bool stale = false;
+  };
+
+  static constexpr std::uint64_t kNoExpiry = ~std::uint64_t{0};
+
+  // Where an MA expiry sits in the simulator's dispatch order: its
+  // time, then the event sequence reserved when it was scheduled.
+  struct ExpiryKey {
+    sim::Time at = 0;
+    std::uint64_t sequence = 0;
+
+    friend bool operator==(const ExpiryKey&, const ExpiryKey&) = default;
+    friend bool operator<(const ExpiryKey& a, const ExpiryKey& b) {
+      return a.at != b.at ? a.at < b.at : a.sequence < b.sequence;
+    }
+  };
+
+  struct Expiry {
+    ExpiryKey key;
+    ObjectId object;
   };
 
   ObjectState& state(ObjectId id);
@@ -129,8 +157,23 @@ class StalenessTracker {
   // stale-count signal.
   void Refresh(ObjectId id);
 
-  // (Re)schedules the MA expiry event for one object.
+  // (Re)schedules the MA expiry for one object, superseding any
+  // earlier one.
   void ScheduleExpiry(ObjectId id);
+
+  // Drops superseded entries off both index fronts and returns the
+  // earliest current expiry, or nullptr if none is pending.
+  const Expiry* EarliestExpiry();
+  // Removes `expiry`, as returned by EarliestExpiry().
+  void PopExpiry(const Expiry* expiry);
+
+  // Schedules a timer at `key` unless one at or before it is pending.
+  void ArmTimer(const ExpiryKey& key);
+
+  // The timer callback: fires the expiry at the timer's key, then
+  // every further expiry at this instant that no other pending event
+  // precedes, and re-arms for the next one.
+  void OnExpiryTimer();
 
   bool UsesMaxAge() const {
     return criterion_ != StalenessCriterion::kUnappliedUpdate;
@@ -141,6 +184,20 @@ class StalenessTracker {
   sim::Duration max_age_;
   std::vector<ObjectState> low_;
   std::vector<ObjectState> high_;
+  // The expiry index, in (at, sequence) order. An expiry no earlier
+  // than the last one appended goes to the run, read from `run_head_`
+  // on: the initial population, and every expiry under MA-arrival. The
+  // rest (most steady-state expiries under generation-time MA, since
+  // update ages vary) go to a min-heap, which only ever holds expiries
+  // due within alpha.
+  std::vector<Expiry> run_;
+  std::size_t run_head_ = 0;
+  std::vector<Expiry> out_of_order_;
+  // Keys of the pending timers, earliest last. Timers are never
+  // cancelled, so one is pushed whenever an earlier expiry arrives; the
+  // earliest pending timer is always at or before the earliest current
+  // expiry.
+  std::vector<ExpiryKey> timers_;
   // Stale *count* per class, integrated over time.
   sim::TimeWeighted stale_fraction_[kNumObjectClasses];
 };

@@ -117,11 +117,27 @@ void EventQueue::DropStaleRoot() {
 }
 
 EventQueue::Handle EventQueue::Schedule(Time at, Callback callback) {
+  return Insert(at, ReserveSequence(), std::move(callback));
+}
+
+std::uint64_t EventQueue::ReserveSequence() {
+  STRIP_CHECK_MSG(next_sequence_ < kMaxSequence, "event sequence exhausted");
+  return next_sequence_++;
+}
+
+EventQueue::Handle EventQueue::ScheduleReserved(Time at,
+                                                std::uint64_t sequence,
+                                                Callback callback) {
+  STRIP_CHECK_MSG(sequence < next_sequence_,
+                  "event sequence was never reserved");
+  return Insert(at, sequence, std::move(callback));
+}
+
+EventQueue::Handle EventQueue::Insert(Time at, std::uint64_t sequence,
+                                      Callback callback) {
   STRIP_CHECK_MSG(at >= 0, "event scheduled at negative time");
   STRIP_CHECK_MSG(callback != nullptr, "event scheduled with null callback");
   const std::uint32_t slot = AcquireSlot();
-  STRIP_CHECK_MSG(next_sequence_ < kMaxSequence, "event sequence exhausted");
-  const std::uint64_t sequence = next_sequence_++;
   Slot& s = slots_[slot];
   s.time = at;
   s.sequence = sequence;
@@ -181,6 +197,13 @@ std::optional<Time> EventQueue::PeekNextTime() {
   DropStaleRoot();
   if (heap_.empty()) return std::nullopt;
   return heap_.front().time;
+}
+
+bool EventQueue::HasPendingBefore(Time at, std::uint64_t sequence) {
+  DropStaleRoot();
+  if (heap_.empty()) return false;
+  const HeapKey& root = heap_.front();
+  return root.time < at || (root.time == at && root.sequence() < sequence);
 }
 
 }  // namespace strip::sim

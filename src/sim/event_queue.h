@@ -2,7 +2,8 @@
 //
 // Events are (time, callback) pairs ordered by time, with FIFO ordering
 // among events scheduled for the same instant (stable tie-breaking by
-// insertion sequence). Cancellation is O(1): the slot is reclaimed
+// insertion sequence, or by a sequence reserved earlier; see
+// ReserveSequence). Cancellation is O(1): the slot is reclaimed
 // immediately and the heap key is lazily skipped when it reaches the
 // top.
 //
@@ -76,6 +77,19 @@ class EventQueue {
   // Simulator's responsibility.
   Handle Schedule(Time at, Callback callback);
 
+  // Takes the sequence number the next Schedule would have used,
+  // without scheduling anything. The sequence fixes an event's place
+  // among events at the same instant, so reserving one lets a client
+  // defer the decision to schedule while keeping that place.
+  std::uint64_t ReserveSequence();
+
+  // Schedules `callback` at `at` under `sequence`, which must have
+  // come from ReserveSequence(): the event fires after same-time
+  // events scheduled before the reservation and before those
+  // scheduled after it, as if it had been scheduled then. A sequence
+  // keys at most one pending event at a time.
+  Handle ScheduleReserved(Time at, std::uint64_t sequence, Callback callback);
+
   // Cancels a scheduled event. Returns true if the event was still
   // pending (and is now guaranteed not to fire), false if it had
   // already fired or been cancelled.
@@ -95,6 +109,11 @@ class EventQueue {
 
   // Time of the earliest pending event, or nullopt if none.
   std::optional<Time> PeekNextTime();
+
+  // True if a pending event orders strictly before the key
+  // (at, sequence): an earlier time, or the same time and a smaller
+  // sequence. Cancelled keys are skipped.
+  bool HasPendingBefore(Time at, std::uint64_t sequence);
 
   // Number of pending (non-cancelled) events.
   std::size_t size() const { return live_count_; }
@@ -154,6 +173,9 @@ class EventQueue {
 
   std::uint32_t AcquireSlot();
   void ReleaseSlot(std::uint32_t slot);
+
+  // Shared tail of Schedule and ScheduleReserved.
+  Handle Insert(Time at, std::uint64_t sequence, Callback callback);
 
   // 4-ary heap primitives over heap_.
   void HeapPush(HeapKey key);

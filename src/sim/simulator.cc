@@ -12,6 +12,13 @@ EventQueue::Handle Simulator::ScheduleAt(Time at,
   return queue_.Schedule(at, std::move(callback));
 }
 
+EventQueue::Handle Simulator::ScheduleReserved(Time at,
+                                               std::uint64_t sequence,
+                                               EventQueue::Callback callback) {
+  STRIP_CHECK_MSG(at >= now_, "event scheduled in the past");
+  return queue_.ScheduleReserved(at, sequence, std::move(callback));
+}
+
 EventQueue::Handle Simulator::ScheduleAfter(Duration delay,
                                             EventQueue::Callback callback) {
   STRIP_CHECK_MSG(delay >= 0, "event scheduled with negative delay");

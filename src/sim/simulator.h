@@ -37,6 +37,21 @@ class Simulator {
   EventQueue::Handle ScheduleAfter(Duration delay,
                                    EventQueue::Callback callback);
 
+  // Takes the sequence number the next ScheduleAt would use, without
+  // scheduling anything (see EventQueue::ReserveSequence).
+  std::uint64_t ReserveSequence() { return queue_.ReserveSequence(); }
+
+  // Schedules `callback` at absolute time `at` (must be >= now()) in
+  // the same-instant place of a sequence from ReserveSequence().
+  EventQueue::Handle ScheduleReserved(Time at, std::uint64_t sequence,
+                                      EventQueue::Callback callback);
+
+  // True if a pending event would be dispatched before one keyed
+  // (at, sequence); see EventQueue::HasPendingBefore.
+  bool HasPendingBefore(Time at, std::uint64_t sequence) {
+    return queue_.HasPendingBefore(at, sequence);
+  }
+
   // Cancels a previously scheduled event. Returns true if it was still
   // pending.
   bool Cancel(const EventQueue::Handle& handle) {

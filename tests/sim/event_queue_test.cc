@@ -149,6 +149,60 @@ TEST(EventQueueDeathTest, NullCallbackRejected) {
   EXPECT_DEATH(queue.Schedule(1.0, nullptr), "null callback");
 }
 
+TEST(EventQueueTest, ReservedEventFiresInItsReservedPlace) {
+  EventQueue queue;
+  std::vector<char> order;
+  queue.Schedule(5.0, [&] { order.push_back('a'); });
+  const std::uint64_t reserved = queue.ReserveSequence();
+  queue.Schedule(5.0, [&] { order.push_back('c'); });
+  queue.Schedule(4.0, [&] { order.push_back('0'); });
+  // Scheduled last, but ordered as if scheduled at the reservation.
+  queue.ScheduleReserved(5.0, reserved, [&] { order.push_back('b'); });
+  EXPECT_EQ(queue.size(), 4u);
+  while (auto event = queue.PopNext()) event->callback();
+  EXPECT_EQ(order, (std::vector<char>{'0', 'a', 'b', 'c'}));
+}
+
+TEST(EventQueueTest, ReservedEventCanBeCancelled) {
+  EventQueue queue;
+  auto handle = queue.ScheduleReserved(1.0, queue.ReserveSequence(), [] {});
+  EXPECT_TRUE(handle.pending());
+  EXPECT_TRUE(queue.Cancel(handle));
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueueTest, HasPendingBeforeBreaksTimeTiesBySequence) {
+  EventQueue queue;
+  EXPECT_FALSE(queue.HasPendingBefore(1.0, 0));
+  const std::uint64_t before = queue.ReserveSequence();
+  queue.Schedule(3.0, [] {});
+  const std::uint64_t after = queue.ReserveSequence();
+  EXPECT_FALSE(queue.HasPendingBefore(3.0, before));
+  EXPECT_TRUE(queue.HasPendingBefore(3.0, after));
+  EXPECT_FALSE(queue.HasPendingBefore(2.5, after));
+  EXPECT_TRUE(queue.HasPendingBefore(3.5, before));
+}
+
+TEST(EventQueueTest, HasPendingBeforeSkipsCancelledKeys) {
+  EventQueue queue;
+  auto early = queue.Schedule(1.0, [] {});
+  queue.Schedule(2.0, [] {});
+  const std::uint64_t probe = queue.ReserveSequence();
+  EXPECT_TRUE(queue.HasPendingBefore(1.5, probe));
+  queue.Cancel(early);
+  EXPECT_FALSE(queue.HasPendingBefore(1.5, probe));
+  EXPECT_TRUE(queue.HasPendingBefore(2.0, probe));
+  EXPECT_EQ(queue.PeekNextTime(), std::optional<Time>(2.0));
+}
+
+TEST(EventQueueDeathTest, ScheduleReservedRejectsUnreservedSequence) {
+  EventQueue queue;
+  EXPECT_DEATH(queue.ScheduleReserved(1.0, 0, [] {}), "never reserved");
+  const std::uint64_t reserved = queue.ReserveSequence();
+  EXPECT_DEATH(queue.ScheduleReserved(1.0, reserved + 1, [] {}),
+               "never reserved");
+}
+
 // Property test: a random mix of schedule / cancel / pop operations
 // must agree with a reference model (a multimap ordered by (time,
 // sequence)).

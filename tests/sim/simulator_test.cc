@@ -122,6 +122,47 @@ TEST(SimulatorTest, CancelInsideEvent) {
   EXPECT_FALSE(fired);
 }
 
+TEST(SimulatorTest, ReservedEventKeepsItsSameInstantPlace) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.ScheduleAt(2.0, [&] { order.push_back(1); });
+  const std::uint64_t reserved = sim.ReserveSequence();
+  sim.ScheduleAt(1.0, [&] {
+    sim.ScheduleAt(2.0, [&] { order.push_back(3); });
+    sim.ScheduleReserved(2.0, reserved, [&] { order.push_back(2); });
+  });
+  sim.RunUntil(10.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.events_dispatched(), 4u);
+}
+
+TEST(SimulatorTest, HasPendingBeforeSeesEventsAtTheCurrentInstant) {
+  Simulator sim;
+  bool checked = false;
+  sim.ScheduleAt(1.0, [&] {
+    const std::uint64_t mine = sim.ReserveSequence();
+    EXPECT_FALSE(sim.HasPendingBefore(sim.now(), mine));
+    sim.ScheduleAfter(0.0, [] {});
+    EXPECT_FALSE(sim.HasPendingBefore(sim.now(), mine));
+    EXPECT_TRUE(sim.HasPendingBefore(sim.now(), sim.ReserveSequence()));
+    checked = true;
+  });
+  sim.RunUntil(10.0);
+  EXPECT_TRUE(checked);
+}
+
+TEST(SimulatorDeathTest, ScheduleReservedInThePastDies) {
+  Simulator sim;
+  const std::uint64_t reserved = sim.ReserveSequence();
+  sim.RunUntil(5.0);
+  EXPECT_DEATH(sim.ScheduleReserved(4.0, reserved, [] {}), "past");
+}
+
+TEST(SimulatorDeathTest, ScheduleReservedUnreservedSequenceDies) {
+  Simulator sim;
+  EXPECT_DEATH(sim.ScheduleReserved(1.0, 7, [] {}), "never reserved");
+}
+
 TEST(SimulatorDeathTest, SchedulingInThePastDies) {
   Simulator sim;
   sim.RunUntil(5.0);
