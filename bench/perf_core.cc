@@ -4,7 +4,8 @@
 // exercise it: event schedule→pop throughput at realistic standing
 // populations, timer-churn (schedule/cancel) mixes, update-queue
 // push/pop/purge under both the realistic near-in-generation-order
-// arrival pattern and an adversarial random one, the database apply,
+// arrival pattern and an adversarial random one, On Demand's
+// peek-and-remove read sequence, the database apply,
 // staleness-tracker and ready-queue paths, and an end-to-end
 // 60-simulated-second baseline run, bare and with observers attached.
 //
@@ -24,6 +25,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <streambuf>
 #include <vector>
@@ -216,6 +218,34 @@ void BM_UpdatePeekNewestFor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UpdatePeekNewestFor);
+
+// On Demand's per-stale-read sequence: a near-sorted arrival, the
+// newest queued update for a random object, its removal, and the purge
+// that precedes the next updater job, which usually finds nothing due
+// (the cutoff here lies below every queued generation time).
+void BM_UpdateOnDemandRead(benchmark::State& state) {
+  db::UpdateQueue queue(5600);
+  sim::RandomStream random(base::RngSeed(7));
+  std::uint64_t id = 0;
+  double t = 0;
+  for (int i = 0; i < 2800; ++i) {
+    queue.Push(MakeUpdate(++id, t += 0.0025, random));
+  }
+  for (auto _ : state) {
+    queue.Push(MakeUpdate(++id, (t += 0.0025) - random.Uniform(0, 0.01),
+                          random));
+    const db::ObjectId object = {random.WithProbability(0.5)
+                                     ? db::ObjectClass::kLowImportance
+                                     : db::ObjectClass::kHighImportance,
+                                 random.UniformInt(0, 499)};
+    const std::optional<db::Update> newest = queue.PeekNewestFor(object);
+    if (newest.has_value()) benchmark::DoNotOptimize(queue.Remove(*newest));
+    benchmark::DoNotOptimize(queue.PurgeGeneratedBefore(0.0));
+  }
+  state.counters["reads_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_UpdateOnDemandRead);
 
 // --- database, staleness tracker, ready queue ------------------------------
 

@@ -1,8 +1,6 @@
 #include "db/update_queue.h"
 
-#include <algorithm>
 #include <cstring>
-#include <utility>
 
 #include "base/check.h"
 
@@ -93,130 +91,181 @@ UpdateQueue::UpdateQueue(std::size_t max_size) : max_size_(max_size) {
   STRIP_CHECK_MSG(max_size > 0, "update queue bound must be positive");
 }
 
+ObjectClass UpdateQueue::OldestClass() const {
+  const FlatKeyIndex& low = by_class_[0];
+  const FlatKeyIndex& high = by_class_[1];
+  return low.empty() || (!high.empty() && KeyLess(high.front(), low.front()))
+             ? ObjectClass::kHighImportance
+             : ObjectClass::kLowImportance;
+}
+
+ObjectClass UpdateQueue::NewestClass() const {
+  const FlatKeyIndex& low = by_class_[0];
+  const FlatKeyIndex& high = by_class_[1];
+  return low.empty() || (!high.empty() && KeyLess(low.back(), high.back()))
+             ? ObjectClass::kHighImportance
+             : ObjectClass::kLowImportance;
+}
+
+std::uint32_t UpdateQueue::HeadOf(ObjectId object) const {
+  const std::vector<std::uint32_t>& heads =
+      heads_[static_cast<int>(object.cls)];
+  const auto index = static_cast<std::size_t>(object.index);
+  return index < heads.size() ? heads[index] : kNoSlot;
+}
+
 std::uint32_t UpdateQueue::AcquireSlot(const Update& update) {
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
-    pool_[slot] = update;
+    pool_[slot].update = update;
     return slot;
   }
-  pool_.push_back(update);
+  pool_.push_back(Entry{update});
   return static_cast<std::uint32_t>(pool_.size() - 1);
 }
 
-Update UpdateQueue::DetachFromSecondary(const Key& key) {
-  Update update = pool_[key.slot];
-  auto obj_it = by_object_.find(update.object);
-  STRIP_CHECK_MSG(obj_it != by_object_.end(), "object index out of sync");
-  std::vector<Key>& keys = obj_it->second;
-  const auto pos = std::lower_bound(keys.begin(), keys.end(), key, KeyLess);
-  STRIP_CHECK_MSG(pos != keys.end() && KeySame(*pos, key),
-                  "object index out of sync");
-  keys.erase(pos);
-  if (keys.empty()) by_object_.erase(obj_it);
-  const bool in_class =
-      by_class_[static_cast<int>(update.object.cls)].Erase(key, nullptr);
-  STRIP_CHECK_MSG(in_class, "class index out of sync");
-  ReleaseSlot(key.slot);
-  return update;
+void UpdateQueue::Link(std::uint32_t slot) {
+  Entry& entry = pool_[slot];
+  const ObjectId object = entry.update.object;
+  STRIP_CHECK_MSG(object.index >= 0, "negative object index");
+  std::vector<std::uint32_t>& heads = heads_[static_cast<int>(object.cls)];
+  const auto index = static_cast<std::size_t>(object.index);
+  if (index >= heads.size()) heads.resize(index + 1, kNoSlot);
+  const Key key{entry.update.generation_time, entry.update.id.value(), slot};
+  // Walk from the newest past every entry newer than this one.
+  std::uint32_t newer = kNoSlot;
+  std::uint32_t older = heads[index];
+  while (older != kNoSlot) {
+    const Update& u = pool_[older].update;
+    if (KeyLess(Key{u.generation_time, u.id.value(), older}, key)) break;
+    newer = older;
+    older = pool_[older].older;
+  }
+  entry.newer = newer;
+  entry.older = older;
+  if (newer == kNoSlot) {
+    heads[index] = slot;
+  } else {
+    pool_[newer].older = slot;
+  }
+  if (older != kNoSlot) pool_[older].newer = slot;
+}
+
+Update UpdateQueue::Detach(std::uint32_t slot) {
+  const Entry& entry = pool_[slot];
+  if (entry.newer == kNoSlot) {
+    std::uint32_t& head = heads_[static_cast<int>(entry.update.object.cls)]
+                                [static_cast<std::size_t>(
+                                    entry.update.object.index)];
+    STRIP_CHECK_MSG(head == slot, "object index out of sync");
+    head = entry.older;
+  } else {
+    STRIP_CHECK_MSG(pool_[entry.newer].older == slot,
+                    "object index out of sync");
+    pool_[entry.newer].older = entry.older;
+  }
+  if (entry.older != kNoSlot) {
+    STRIP_CHECK_MSG(pool_[entry.older].newer == slot,
+                    "object index out of sync");
+    pool_[entry.older].newer = entry.newer;
+  }
+  free_slots_.push_back(slot);
+  return entry.update;
 }
 
 std::vector<Update> UpdateQueue::Push(const Update& update) {
   const std::uint32_t slot = AcquireSlot(update);
-  const Key key{update.generation_time, update.id.value(), slot};
-  const bool inserted = by_generation_.Insert(key);
+  const bool inserted = by_class_[static_cast<int>(update.object.cls)].Insert(
+      Key{update.generation_time, update.id.value(), slot});
   STRIP_CHECK_MSG(inserted, "duplicate update id pushed");
-  std::vector<Key>& obj_keys = by_object_[update.object];
-  obj_keys.insert(
-      std::lower_bound(obj_keys.begin(), obj_keys.end(), key, KeyLess), key);
-  by_class_[static_cast<int>(update.object.cls)].Insert(key);
+  Link(slot);
   std::vector<Update> evicted;
-  while (by_generation_.size() > max_size_) {
-    const Key oldest = by_generation_.front();
-    by_generation_.PopFront();
-    evicted.push_back(DetachFromSecondary(oldest));
+  while (size() > max_size_) {
+    evicted.push_back(*PopOldest());
     ++overflow_drops_;
   }
   return evicted;
 }
 
 std::optional<Update> UpdateQueue::PopOldest() {
-  if (by_generation_.empty()) return std::nullopt;
-  const Key key = by_generation_.front();
-  by_generation_.PopFront();
-  return DetachFromSecondary(key);
+  if (empty()) return std::nullopt;
+  return PopOldestOfClass(OldestClass());
 }
 
 std::optional<Update> UpdateQueue::PopNewest() {
-  if (by_generation_.empty()) return std::nullopt;
-  const Key key = by_generation_.back();
-  by_generation_.PopBack();
-  return DetachFromSecondary(key);
+  if (empty()) return std::nullopt;
+  return PopNewestOfClass(NewestClass());
 }
 
 std::optional<Update> UpdateQueue::PopOldestOfClass(ObjectClass cls) {
   FlatKeyIndex& keys = by_class_[static_cast<int>(cls)];
   if (keys.empty()) return std::nullopt;
-  // DetachFromSecondary removes the class entry itself (front, so the
-  // erase is an O(1) head advance); the primary index is removed here.
-  const Key key = keys.front();
-  const bool in_primary = by_generation_.Erase(key, nullptr);
-  STRIP_CHECK_MSG(in_primary, "generation index out of sync");
-  return DetachFromSecondary(key);
+  const std::uint32_t slot = keys.front().slot;
+  keys.PopFront();
+  return Detach(slot);
 }
 
 std::optional<Update> UpdateQueue::PopNewestOfClass(ObjectClass cls) {
   FlatKeyIndex& keys = by_class_[static_cast<int>(cls)];
   if (keys.empty()) return std::nullopt;
-  const Key key = keys.back();
-  const bool in_primary = by_generation_.Erase(key, nullptr);
-  STRIP_CHECK_MSG(in_primary, "generation index out of sync");
-  return DetachFromSecondary(key);
+  const std::uint32_t slot = keys.back().slot;
+  keys.PopBack();
+  return Detach(slot);
 }
 
 std::vector<Update> UpdateQueue::PurgeGeneratedBefore(sim::Time cutoff) {
-  const std::size_t n = by_generation_.CountBefore(cutoff);
+  FlatKeyIndex& low = by_class_[0];
+  FlatKeyIndex& high = by_class_[1];
+  const bool low_due = !low.empty() && low.front().time < cutoff;
+  const bool high_due = !high.empty() && high.front().time < cutoff;
+  if (!low_due && !high_due) return {};
+  const std::size_t n_low = low_due ? low.CountBefore(cutoff) : 0;
+  const std::size_t n_high = high_due ? high.CountBefore(cutoff) : 0;
   std::vector<Update> purged;
-  purged.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Each purged key is the current front of its class index, so the
-    // secondary erases are head advances; the primary index is dropped
-    // in one batch below.
-    purged.push_back(DetachFromSecondary(by_generation_.at(i)));
+  purged.reserve(n_low + n_high);
+  // Merge the two expired prefixes, oldest first; both are dropped
+  // from their indexes in one batch below.
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < n_low || j < n_high) {
+    const bool take_low =
+        j == n_high || (i < n_low && KeyLess(low.at(i), high.at(j)));
+    purged.push_back(Detach(take_low ? low.at(i++).slot : high.at(j++).slot));
   }
-  by_generation_.DropFront(n);
+  low.DropFront(n_low);
+  high.DropFront(n_high);
   return purged;
 }
 
 std::optional<Update> UpdateQueue::PeekNewestFor(ObjectId object) const {
-  auto it = by_object_.find(object);
-  if (it == by_object_.end()) return std::nullopt;
-  STRIP_CHECK(!it->second.empty());
-  return pool_[it->second.back().slot];
+  const std::uint32_t head = HeadOf(object);
+  if (head == kNoSlot) return std::nullopt;
+  return pool_[head].update;
 }
 
 bool UpdateQueue::Remove(const Update& update) {
   std::uint32_t slot = 0;
-  if (!by_generation_.Erase(Key{update.generation_time, update.id.value(), 0},
-                            &slot)) {
+  if (!by_class_[static_cast<int>(update.object.cls)].Erase(
+          Key{update.generation_time, update.id.value(), 0}, &slot)) {
     return false;
   }
-  DetachFromSecondary(Key{update.generation_time, update.id.value(), slot});
+  Detach(slot);
   return true;
 }
 
 bool UpdateQueue::HasUpdateFor(ObjectId object) const {
-  return by_object_.find(object) != by_object_.end();
+  return HeadOf(object) != kNoSlot;
 }
 
 sim::Time UpdateQueue::OldestGeneration() const {
   STRIP_CHECK_MSG(!empty(), "OldestGeneration on empty queue");
-  return by_generation_.front().time;
+  return by_class_[static_cast<int>(OldestClass())].front().time;
 }
 
 sim::Time UpdateQueue::NewestGeneration() const {
   STRIP_CHECK_MSG(!empty(), "NewestGeneration on empty queue");
-  return by_generation_.back().time;
+  return by_class_[static_cast<int>(NewestClass())].back().time;
 }
 
 }  // namespace strip::db

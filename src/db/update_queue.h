@@ -10,20 +10,28 @@
 // PopOldest (FIFO) and PopNewest (LIFO), plus the per-object access
 // needed by the On Demand policy (PeekNewestFor / Remove).
 //
-// Implementation note: updates live in a pooled slab (slots recycled
-// through a free list) and the orderings are flat sorted vectors of
-// packed (generation_time, id, slot) keys — one global, one per
-// importance class, one small vector per object. The flat indexes keep
-// a head offset so FIFO service and Maximum-Age purges are O(1)
-// amortized pops with batched compaction, and inserts/erases shift
-// whichever side of the vector is shorter, so the paper's near-in-
-// generation-order arrival pattern costs a few cache lines per update
-// instead of three node-based tree insertions. A per-object index is
-// always maintained so that PeekNewestFor is cheap in wall-clock time.
+// Implementation note: each fact is stored once.
+//  - Updates live in a pooled slab (slots recycled through a free
+//    list).
+//  - The only orderings are the two per-class indexes: flat sorted
+//    vectors of packed (generation_time, id, slot) keys with a head
+//    offset, so front pops and Maximum-Age purges are O(1) amortized
+//    with batched compaction, and inserts/erases shift whichever side
+//    of the vector is shorter. Whole-queue service (PopOldest,
+//    PopNewest, overflow eviction, purges) compares the two class
+//    fronts or backs by (time, id); ids are unique, so this is the
+//    order one global index would give.
+//  - The per-object index is an intrusive chain through the pool:
+//    each entry links to the next newer and next older update for its
+//    object, and one head (the newest) per object is kept per class in
+//    a vector indexed by object index, grown on demand. Arrivals come
+//    in near generation order, so a push links at or next to the head;
+//    every removal unlinks in O(1); PeekNewestFor reads the head.
 // The *simulated* cost of a scan is charged separately by the
-// controller (x_scan · queue size for the plain queue of the paper,
-// constant for the hash-indexed extension of Sections 4.2/4.4); the
-// data structure itself is cost-model agnostic.
+// controller (x_scan · queue size for the plain queue of the paper;
+// the dedup and indexed-queue options of Sections 4.2/4.4 are System
+// behaviour built on PeekNewestFor / Remove); the data structure itself
+// is cost-model agnostic.
 
 #ifndef STRIP_DB_UPDATE_QUEUE_H_
 #define STRIP_DB_UPDATE_QUEUE_H_
@@ -31,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "db/object.h"
@@ -82,8 +89,10 @@ class UpdateQueue {
   // True if any update for `object` is queued.
   bool HasUpdateFor(ObjectId object) const;
 
-  std::size_t size() const { return by_generation_.size(); }
-  bool empty() const { return by_generation_.empty(); }
+  std::size_t size() const {
+    return by_class_[0].size() + by_class_[1].size();
+  }
+  bool empty() const { return by_class_[0].empty() && by_class_[1].empty(); }
   std::size_t max_size() const { return max_size_; }
 
   // Generation time of the oldest / newest queued update.
@@ -95,6 +104,9 @@ class UpdateQueue {
   std::uint64_t overflow_drops() const { return overflow_drops_; }
 
  private:
+  static_assert(kNumObjectClasses == 2,
+                "whole-queue service merges exactly two class indexes");
+
   // Orders by generation time, then by creation id for determinism.
   // `slot` locates the update in the pool and does not participate in
   // ordering.
@@ -148,26 +160,41 @@ class UpdateQueue {
     std::size_t head_ = 0;
   };
 
-  std::uint32_t AcquireSlot(const Update& update);
-  void ReleaseSlot(std::uint32_t slot) { free_slots_.push_back(slot); }
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
-  // Removes `key` from the per-object and per-class indexes and frees
-  // its pool slot; returns the stored update. Does not touch
-  // by_generation_ (callers remove that side themselves).
-  Update DetachFromSecondary(const Key& key);
+  // A pooled update plus its links in its object's chain (pool slots,
+  // or kNoSlot at either end).
+  struct Entry {
+    Update update;
+    std::uint32_t newer = kNoSlot;
+    std::uint32_t older = kNoSlot;
+  };
+
+  // The class whose index holds the oldest (front) / newest (back)
+  // key of the whole queue. Precondition: !empty().
+  ObjectClass OldestClass() const;
+  ObjectClass NewestClass() const;
+
+  // Slot of `object`'s newest queued update, or kNoSlot.
+  std::uint32_t HeadOf(ObjectId object) const;
+
+  std::uint32_t AcquireSlot(const Update& update);
+  // Links a freshly acquired slot into its object's chain, newest
+  // first.
+  void Link(std::uint32_t slot);
+  // Unlinks `slot` from its object's chain and frees it; returns the
+  // stored update. The caller removes its class-index key.
+  Update Detach(std::uint32_t slot);
 
   std::size_t max_size_;
   // Pooled update storage; `free_slots_` holds recyclable entries.
-  std::vector<Update> pool_;
+  std::vector<Entry> pool_;
   std::vector<std::uint32_t> free_slots_;
-  // Primary ordering over all queued updates.
-  FlatKeyIndex by_generation_;
-  // Per-class secondary index, same ordering.
+  // Per-class ordering; together they hold every queued update once.
   FlatKeyIndex by_class_[kNumObjectClasses];
-  // Per-object secondary index: this object's keys, sorted so back()
-  // is the newest. Object vectors are tiny (load factor ~ queue size /
-  // database size), so a plain sorted vector beats a tree.
-  std::unordered_map<ObjectId, std::vector<Key>, ObjectIdHash> by_object_;
+  // Per-class chain heads by object index: the slot of the object's
+  // newest queued update, or kNoSlot.
+  std::vector<std::uint32_t> heads_[kNumObjectClasses];
   std::uint64_t overflow_drops_ = 0;
 };
 

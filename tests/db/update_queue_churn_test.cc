@@ -5,6 +5,7 @@
 // compaction fire constantly.
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -147,6 +148,17 @@ void ExpectSameUpdate(const std::optional<Update>& actual,
     EXPECT_EQ(actual->id, expected->id);
     EXPECT_EQ(actual->generation_time, expected->generation_time);
     EXPECT_EQ(actual->object, expected->object);
+    EXPECT_EQ(actual->attribute, expected->attribute);
+    EXPECT_EQ(actual->arrival_time, expected->arrival_time);
+    EXPECT_EQ(actual->value, expected->value);
+  }
+}
+
+void ExpectSameUpdates(const std::vector<Update>& actual,
+                       const std::vector<Update>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    ExpectSameUpdate(actual[i], expected[i]);
   }
 }
 
@@ -177,12 +189,7 @@ TEST(UpdateQueueChurnTest, MatchesReferenceOverRandomizedChurn) {
           now - static_cast<double>(rng() % 16) * 0.125;
       update.arrival_time = now;
       update.value = static_cast<double>(update.id.value());
-      const auto evicted = queue.Push(update);
-      const auto expected = reference.Push(update);
-      ASSERT_EQ(evicted.size(), expected.size());
-      for (std::size_t i = 0; i < evicted.size(); ++i) {
-        EXPECT_EQ(evicted[i].id, expected[i].id);
-      }
+      ExpectSameUpdates(queue.Push(update), reference.Push(update));
     } else if (roll < 60) {
       ExpectSameUpdate(queue.PopOldest(), reference.PopOldest());
     } else if (roll < 66) {
@@ -200,12 +207,8 @@ TEST(UpdateQueueChurnTest, MatchesReferenceOverRandomizedChurn) {
     } else if (roll < 84) {
       // Maximum-Age purge of a random-depth prefix.
       const double cutoff = now - static_cast<double>(rng() % 20) * 0.1;
-      const auto purged = queue.PurgeGeneratedBefore(cutoff);
-      const auto expected = reference.PurgeGeneratedBefore(cutoff);
-      ASSERT_EQ(purged.size(), expected.size());
-      for (std::size_t i = 0; i < purged.size(); ++i) {
-        EXPECT_EQ(purged[i].id, expected[i].id);
-      }
+      ExpectSameUpdates(queue.PurgeGeneratedBefore(cutoff),
+                        reference.PurgeGeneratedBefore(cutoff));
     } else if (roll < 92) {
       // Peek / membership for a random object.
       const ObjectId object = {rng() % 2 == 0 ? ObjectClass::kLowImportance
@@ -238,6 +241,91 @@ TEST(UpdateQueueChurnTest, MatchesReferenceOverRandomizedChurn) {
   // Drain in FIFO order; every remaining update must match.
   while (auto popped = queue.PopOldest()) {
     ExpectSameUpdate(popped, reference.PopOldest());
+  }
+  EXPECT_EQ(reference.size(), 0u);
+}
+
+// Exact generation-time ties across the two classes: every time and
+// purge cutoff is a multiple of 0.5 within a few seconds of the clock,
+// so whole-queue pops, overflow evictions and purges keep meeting
+// equal-time fronts and backs in both class indexes and must break
+// them by id. Three objects per class, with indexes far apart, keep
+// every per-object chain several updates deep and its head table
+// sparse; out-of-order pushes walk into the chain.
+TEST(UpdateQueueChurnTest, TieHeavyChurn) {
+  constexpr std::size_t kBound = 24;
+  constexpr std::array<int, 3> kIndexes = {0, 1, 100000};
+  UpdateQueue queue(kBound);
+  ReferenceQueue reference(kBound);
+  std::mt19937_64 rng(20261017);
+  auto random_class = [&rng] {
+    return rng() % 2 == 0 ? ObjectClass::kLowImportance
+                          : ObjectClass::kHighImportance;
+  };
+  auto random_object = [&] {
+    return ObjectId{random_class(), kIndexes[rng() % kIndexes.size()]};
+  };
+
+  std::uint64_t next_id = 1;
+  constexpr int kOps = 200000;
+  for (int op = 0; op < kOps; ++op) {
+    // The clock advances half a second every eight operations.
+    const double now = 0.5 * static_cast<double>(op / 8);
+    const int roll = static_cast<int>(rng() % 100);
+    if (roll < 45) {
+      Update update;
+      update.id = base::UpdateId(next_id++);
+      update.object = random_object();
+      update.attribute = static_cast<int>(rng() % 4) - 1;
+      update.generation_time = now - 0.5 * static_cast<double>(rng() % 10);
+      update.arrival_time = now + 0.25 * static_cast<double>(rng() % 4);
+      update.value = static_cast<double>(rng() % 1000) / 8;
+      ExpectSameUpdates(queue.Push(update), reference.Push(update));
+    } else if (roll < 53) {
+      ExpectSameUpdate(queue.PopOldest(), reference.PopOldest());
+    } else if (roll < 61) {
+      ExpectSameUpdate(queue.PopNewest(), reference.PopNewest());
+    } else if (roll < 66) {
+      const ObjectClass cls = random_class();
+      ExpectSameUpdate(queue.PopOldestOfClass(cls),
+                       reference.PopOldestOfClass(cls));
+    } else if (roll < 71) {
+      const ObjectClass cls = random_class();
+      ExpectSameUpdate(queue.PopNewestOfClass(cls),
+                       reference.PopNewestOfClass(cls));
+    } else if (roll < 79) {
+      const double cutoff = now - 0.5 * static_cast<double>(rng() % 12);
+      ExpectSameUpdates(queue.PurgeGeneratedBefore(cutoff),
+                        reference.PurgeGeneratedBefore(cutoff));
+    } else if (roll < 91) {
+      const ObjectId object = random_object();
+      ExpectSameUpdate(queue.PeekNewestFor(object),
+                       reference.PeekNewestFor(object));
+      EXPECT_EQ(queue.HasUpdateFor(object), reference.HasUpdateFor(object));
+    } else if (reference.size() > 0) {
+      // Remove a resident update from anywhere in its chain, then the
+      // same one again.
+      const Update victim = reference.At(rng() % reference.size());
+      EXPECT_TRUE(queue.Remove(victim));
+      EXPECT_TRUE(reference.Remove(victim));
+      EXPECT_FALSE(queue.Remove(victim));
+    }
+
+    ASSERT_EQ(queue.size(), reference.size());
+    EXPECT_EQ(queue.overflow_drops(), reference.overflow_drops());
+    EXPECT_EQ(queue.SizeOfClass(ObjectClass::kLowImportance),
+              reference.SizeOfClass(ObjectClass::kLowImportance));
+    EXPECT_EQ(queue.SizeOfClass(ObjectClass::kHighImportance),
+              reference.SizeOfClass(ObjectClass::kHighImportance));
+    if (!queue.empty()) {
+      EXPECT_EQ(queue.OldestGeneration(), reference.OldestGeneration());
+      EXPECT_EQ(queue.NewestGeneration(), reference.NewestGeneration());
+    }
+  }
+
+  // Drain newest first; every remaining update must match.
+  while (auto popped = queue.PopNewest()) {
+    ExpectSameUpdate(popped, reference.PopNewest());
   }
   EXPECT_EQ(reference.size(), 0u);
 }

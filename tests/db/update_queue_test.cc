@@ -178,8 +178,19 @@ TEST(UpdateQueueDeathTest, InvalidUse) {
   UpdateQueue queue(4);
   EXPECT_DEATH(queue.OldestGeneration(), "empty");
   EXPECT_DEATH(queue.NewestGeneration(), "empty");
-  queue.Push(MakeUpdate(1, 1.0));
-  EXPECT_DEATH(queue.Push(MakeUpdate(1, 1.0)), "duplicate");
+  // Re-pushing a queued update dies, whether its key sits at the front,
+  // in the middle or at the back of its class index.
+  const ObjectId low{ObjectClass::kLowImportance, 3};
+  const Update first = MakeUpdate(1, 1.0, low);
+  const Update middle = MakeUpdate(2, 2.0, low);
+  const Update last = MakeUpdate(3, 3.0, low);
+  queue.Push(first);
+  queue.Push(MakeUpdate(4, 2.0, {ObjectClass::kHighImportance, 3}));
+  queue.Push(middle);
+  queue.Push(last);
+  for (const Update& u : {first, middle, last}) {
+    EXPECT_DEATH(queue.Push(u), "duplicate update id pushed");
+  }
 }
 
 // Property test: random pushes/pops/purges/removes agree with a
