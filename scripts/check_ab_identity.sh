@@ -15,7 +15,16 @@
 #     updates (TF, SU, OD, FCF) at the same shard counts, faults off
 #     and on: LIFO service, split importance queues, dedup, shedding
 #     and the overload governor (both with uq_max=64, so the queue
-#     fills), uq_max=50, the indexed queue and n_attributes=3.
+#     fills), uq_max=50, the indexed queue and n_attributes=3;
+#   - the scheduler options, one per row, for every policy at 1 shard
+#     (faults off) and at 4 shards (the lossy link with
+#     --cluster_faults): transaction preemption, abort-on-stale under
+#     MA and under UU, a warm-up, admission control, buffer misses,
+#     triggers, version history, no feasible-deadline screen, bursty
+#     and periodic feeds, switch/queue/scan costs, early view reads
+#     with preemption, the governor's staleness trigger, and the abort
+#     fallback for remote reads, alone and with abort-on-stale,
+#     preemption and a warm-up.
 #
 # A run that exits non-zero on either side fails the check: two
 # identical error exits are not a match.
@@ -24,8 +33,8 @@
 # Exit: 0 every configuration identical, 1 a difference or a failed
 # run, 2 usage.
 #
-# It needs a build of the parent revision, so it is a pre-merge check
-# for refactors, not a CI step (see CONTRIBUTING.md).
+# CI runs it on every pull request against a build of the merge base
+# (see CONTRIBUTING.md, "Byte-identity").
 
 set -u
 
@@ -61,6 +70,24 @@ QUEUE_OPTIONS=(
   "--uq_max=50"
   "--indexed_update_queue=true"
   "--n_attributes=3"
+)
+SCHEDULER_OPTIONS=(
+  "--txn_preemption=true"
+  "--abort_on_stale=true --staleness=MA"
+  "--abort_on_stale=true --staleness=UU"
+  "--warmup_seconds=10"
+  "--admission_limit=5 --lambda_t=40"
+  "--buffer_hit_ratio=0.9 --io_seconds=0.002"
+  "--trigger_probability=0.3 --x_trigger=5000"
+  "--history_depth=3"
+  "--feasible_deadline=false"
+  "--bursty_updates=true"
+  "--periodic_updates=true"
+  "--x_switch=2000 --x_queue=300 --x_scan=50"
+  "--p_view=0.5 --txn_preemption=true"
+  "--overload_governor=true --governor_stale_threshold=0.3"
+  "--remote_fallback=abort"
+  "--remote_fallback=abort --abort_on_stale=true --txn_preemption=true --warmup_seconds=10"
 )
 
 configs=0
@@ -124,6 +151,19 @@ for shards in 1 2 4; do
         run_pair "policy=$policy $option shards=$shards faults=$faults" \
           "${common[@]}" $option
       done
+    done
+  done
+done
+
+for shards in 1 4; do
+  fault_flags=()
+  [ "$shards" = 4 ] && fault_flags=("${CLUSTER_FAULTS[@]}")
+  for policy in UF TF SU OD FCF; do
+    for option in "${SCHEDULER_OPTIONS[@]}"; do
+      # shellcheck disable=SC2086  # an option row may hold several flags
+      run_pair "policy=$policy $option shards=$shards" \
+        --policy="$policy" --shards="$shards" --seed=7 "${fault_flags[@]}" \
+        $option
     done
   done
 done

@@ -2,6 +2,7 @@
 # Every runner tool rejects a malformed number in a numeric flag
 # (--seed=abc, --reps=2x, --values=1e3x, ...) with exit 2 and an error
 # that names the flag, instead of running with a half-parsed value.
+# strip_replay likewise rejects a second trace path, naming both.
 #
 #   scripts/check_malformed_numbers.sh [BUILD_DIR]   # default: build
 #
@@ -46,6 +47,9 @@ expect_rejected --jobs=two "$SWEEP" "${GRID[@]}" --jobs=two
 expect_rejected --cell-timeout=1s "$SWEEP" "${GRID[@]}" --cell-timeout=1s
 
 expect_rejected --seed=12ab "$REPLAY" trace.csv --seed=12ab
+# A second trace path is an error naming both, not a silent override.
+expect_rejected a.csv "$REPLAY" a.csv b.csv
+expect_rejected b.csv "$REPLAY" a.csv b.csv
 
 expect_rejected --seconds=2x "$FIGURES" fig08_scan_cost --seconds=2x
 expect_rejected --reps=2x "$FIGURES" fig08_scan_cost --reps=2x

@@ -87,7 +87,8 @@ Cluster::Cluster(sim::Simulator* simulator, const ShardedConfig& config,
     // timeout that eventually notices them is armed.
     systems_[static_cast<std::size_t>(read.home_shard.value())]
         ->observer_bus()
-        .NotifyShardRemoteDropped(simulator_->now(), read, reply_leg);
+        .Notify(&SystemObserver::OnShardRemoteDropped, simulator_->now(), read,
+                reply_leg);
   });
   if (!net.schedule.empty()) {
     interconnect_->ScheduleWindowEvents(
@@ -153,11 +154,7 @@ void Cluster::RouteTransaction(const txn::Transaction::Params& params) {
 
 RunMetrics Cluster::Run() {
   STRIP_CHECK_MSG(!finalized_, "Cluster::Run called twice");
-  if (config_.single_shard()) {
-    systems_[0]->Run();
-  } else {
-    simulator_->RunUntil(config_.base.sim_seconds);
-  }
+  simulator_->RunUntil(config_.base.sim_seconds);
   FinalizeAll(config_.base.sim_seconds);
   return aggregate_;
 }
@@ -165,11 +162,6 @@ RunMetrics Cluster::Run() {
 bool Cluster::RunSlice(sim::Duration max_slice) {
   STRIP_CHECK_MSG(!finalized_, "Cluster::RunSlice after finalization");
   STRIP_CHECK_MSG(max_slice > 0, "slice must be positive");
-  if (config_.single_shard()) {
-    if (!systems_[0]->RunSlice(max_slice)) return false;
-    FinalizeAll(config_.base.sim_seconds);
-    return true;
-  }
   const sim::Time target =
       std::min(simulator_->now() + max_slice, config_.base.sim_seconds);
   // Repeated RunUntil calls dispatch each event exactly once, so a
@@ -206,9 +198,7 @@ void Cluster::FinalizeAll(sim::Time end) {
   shard_metrics_.clear();
   shard_metrics_.reserve(systems_.size());
   for (const std::unique_ptr<System>& system : systems_) {
-    // The single-shard forwarders finalize through System::Run /
-    // RunSlice / HaltEarly; multi-shard engines are finalized here.
-    if (!system->finalized_) system->Finalize(end);
+    system->Finalize(end);
     shard_metrics_.push_back(system->metrics());
   }
   Aggregate();

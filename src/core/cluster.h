@@ -21,9 +21,10 @@
 //     the feed) come from the ShardedConfig.
 //
 // shards == 1 constructs exactly one System from config.base verbatim
-// with the cluster's seed, and Run()/RunSlice()/HaltEarly() forward to
-// it — byte-identical, metric-identical output to using System
-// directly (pinned by tests/core/cluster_identity_test.cc).
+// with the cluster's seed; Run()/RunSlice()/HaltEarly() drive the
+// simulator and finalize it exactly as System's own do — byte-identical,
+// metric-identical output to using System directly (pinned by
+// tests/core/cluster_identity_test.cc).
 //
 // Typical use:
 //   sim::Simulator simulator;

@@ -37,189 +37,4 @@ void ObserverBus::Compact() {
   needs_compaction_ = false;
 }
 
-template <typename Fn>
-void ObserverBus::Dispatch(Fn&& fn) {
-  ++dispatch_depth_;
-  // Observers appended mid-dispatch grow the vector past `end`; they
-  // hear the next event, not this one.
-  const std::size_t end = observers_.size();
-  for (std::size_t i = 0; i < end; ++i) {
-    SystemObserver* observer = observers_[i];
-    if (observer == nullptr) continue;
-    fn(observer);
-    // An observer removed from inside a callback must have been
-    // nulled in place, never erased: erasure would shift the slots a
-    // concurrent walk indexes, invoking a removed observer later in
-    // the same notify round.
-    STRIP_CHECK_MSG(i < observers_.size() &&
-                        (observers_[i] == observer ||
-                         observers_[i] == nullptr),
-                    "observer slot moved mid-dispatch");
-  }
-  --dispatch_depth_;
-  if (dispatch_depth_ == 0 && needs_compaction_) Compact();
-}
-
-void ObserverBus::NotifyTransactionTerminal(
-    sim::Time now, const txn::Transaction& transaction) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnTransactionTerminal(now, transaction);
-  });
-}
-
-void ObserverBus::NotifyUpdateInstalled(sim::Time now, const db::Update& update,
-                                        const txn::Transaction* on_demand_by) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnUpdateInstalled(now, update, on_demand_by);
-  });
-}
-
-void ObserverBus::NotifyUpdateDropped(sim::Time now, const db::Update& update,
-                                      SystemObserver::DropReason reason) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnUpdateDropped(now, update, reason);
-  });
-}
-
-void ObserverBus::NotifyStaleRead(sim::Time now,
-                                  const txn::Transaction& transaction,
-                                  db::ObjectId object) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnStaleRead(now, transaction, object);
-  });
-}
-
-void ObserverBus::NotifyPhase(sim::Time now, SystemObserver::Phase phase) {
-  if (empty()) return;
-  Dispatch(
-      [&](SystemObserver* observer) { observer->OnPhase(now, phase); });
-}
-
-void ObserverBus::NotifyTxnAdmitted(sim::Time now,
-                                    const txn::Transaction& transaction) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnTxnAdmitted(now, transaction);
-  });
-}
-
-void ObserverBus::NotifyUpdateArrival(sim::Time now,
-                                      const db::Update& update) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnUpdateArrival(now, update);
-  });
-}
-
-void ObserverBus::NotifyUpdateEnqueued(sim::Time now,
-                                       const db::Update& update) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnUpdateEnqueued(now, update);
-  });
-}
-
-void ObserverBus::NotifyDispatch(
-    sim::Time now, const SystemObserver::DispatchInfo& dispatch) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnDispatch(now, dispatch);
-  });
-}
-
-void ObserverBus::NotifySegmentComplete(
-    sim::Time now, const SystemObserver::DispatchInfo& dispatch) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnSegmentComplete(now, dispatch);
-  });
-}
-
-void ObserverBus::NotifyPreempt(sim::Time now,
-                                const txn::Transaction& transaction,
-                                SystemObserver::PreemptReason reason) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnPreempt(now, transaction, reason);
-  });
-}
-
-void ObserverBus::NotifyPolicyDecision(sim::Time now, PolicyKind policy,
-                                       SystemObserver::SchedulerChoice choice,
-                                       const char* reason) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnPolicyDecision(now, policy, choice, reason);
-  });
-}
-
-void ObserverBus::NotifyFaultWindow(
-    sim::Time now, const SystemObserver::FaultWindowInfo& window) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnFaultWindow(now, window);
-  });
-}
-
-void ObserverBus::NotifyShardRemoteIssued(sim::Time now,
-                                          const RemoteRead& read) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnShardRemoteIssued(now, read);
-  });
-}
-
-void ObserverBus::NotifyShardRemoteQueued(sim::Time now,
-                                          const RemoteRead& read) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnShardRemoteQueued(now, read);
-  });
-}
-
-void ObserverBus::NotifyShardRemoteServiced(sim::Time now,
-                                            const RemoteRead& read) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnShardRemoteServiced(now, read);
-  });
-}
-
-void ObserverBus::NotifyShardRemoteResolved(sim::Time now,
-                                            const RemoteRead& read,
-                                            bool txn_live) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnShardRemoteResolved(now, read, txn_live);
-  });
-}
-
-void ObserverBus::NotifyShardRemoteDropped(sim::Time now,
-                                           const RemoteRead& read,
-                                           bool reply_leg) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnShardRemoteDropped(now, read, reply_leg);
-  });
-}
-
-void ObserverBus::NotifyRemoteTimeout(sim::Time now, const RemoteRead& read,
-                                      int attempt, bool will_retry) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnRemoteTimeout(now, read, attempt, will_retry);
-  });
-}
-
-void ObserverBus::NotifyDegradedRead(sim::Time now, const RemoteRead& read) {
-  if (empty()) return;
-  Dispatch([&](SystemObserver* observer) {
-    observer->OnDegradedRead(now, read);
-  });
-}
-
 }  // namespace strip::core

@@ -1,17 +1,24 @@
 // Fan-out of SystemObserver callbacks to any number of observers.
 //
-// The bus replaces the System's former single set_observer slot: the
-// trace writer, the observability layer's sampler and telemetry
-// recorder (src/obs), and application monitors can all listen to one
-// run at once. Observers are notified in registration order.
+// The trace writer, the observability layer's sampler and telemetry
+// recorder (src/obs), the auditors (src/check) and application monitors
+// can all listen to one run at once. Observers are notified in
+// registration order through one entry point, Notify, which names the
+// hook to call:
+//
+//   bus.Notify(&SystemObserver::OnPhase, now, SystemObserver::Phase::kRunEnd);
+//
+// The arguments convert to the hook's parameter types exactly as in a
+// direct call. With no observers attached Notify is a single inline
+// emptiness test — no allocation, no virtual call — so the simulation
+// core's hot path stays zero-alloc. A caller whose arguments cost work
+// to build (a policy's reason string, a FaultWindowInfo) still tests
+// empty() first.
 //
 // Dispatch is reentrancy-safe: an observer may add or remove observers
 // (including itself) from inside a callback. Observers removed during
 // a dispatch stop receiving events immediately; observers added during
-// a dispatch first hear the *next* event. With no observers attached
-// every Notify* call is a single inline emptiness test — no allocation,
-// no virtual call — preserving the simulation core's zero-alloc hot
-// path.
+// a dispatch first hear the *next* event.
 //
 // ScopedObserver provides RAII registration:
 //
@@ -23,8 +30,10 @@
 #define STRIP_CORE_OBSERVER_BUS_H_
 
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
+#include "base/check.h"
 #include "core/observer.h"
 
 namespace strip::core {
@@ -46,47 +55,41 @@ class ObserverBus {
   bool empty() const { return live_count_ == 0; }
   std::size_t size() const { return live_count_; }
 
-  // --- dispatch (called by System) -----------------------------------------
-
-  void NotifyTransactionTerminal(sim::Time now,
-                                 const txn::Transaction& transaction);
-  void NotifyUpdateInstalled(sim::Time now, const db::Update& update,
-                             const txn::Transaction* on_demand_by);
-  void NotifyUpdateDropped(sim::Time now, const db::Update& update,
-                           SystemObserver::DropReason reason);
-  void NotifyStaleRead(sim::Time now, const txn::Transaction& transaction,
-                       db::ObjectId object);
-  void NotifyPhase(sim::Time now, SystemObserver::Phase phase);
-  void NotifyTxnAdmitted(sim::Time now, const txn::Transaction& transaction);
-  void NotifyUpdateArrival(sim::Time now, const db::Update& update);
-  void NotifyUpdateEnqueued(sim::Time now, const db::Update& update);
-  void NotifyDispatch(sim::Time now,
-                      const SystemObserver::DispatchInfo& dispatch);
-  void NotifySegmentComplete(sim::Time now,
-                             const SystemObserver::DispatchInfo& dispatch);
-  void NotifyPreempt(sim::Time now, const txn::Transaction& transaction,
-                     SystemObserver::PreemptReason reason);
-  void NotifyPolicyDecision(sim::Time now, PolicyKind policy,
-                            SystemObserver::SchedulerChoice choice,
-                            const char* reason);
-  void NotifyFaultWindow(sim::Time now,
-                         const SystemObserver::FaultWindowInfo& window);
-  void NotifyShardRemoteIssued(sim::Time now, const RemoteRead& read);
-  void NotifyShardRemoteQueued(sim::Time now, const RemoteRead& read);
-  void NotifyShardRemoteServiced(sim::Time now, const RemoteRead& read);
-  void NotifyShardRemoteResolved(sim::Time now, const RemoteRead& read,
-                                 bool txn_live);
-  void NotifyShardRemoteDropped(sim::Time now, const RemoteRead& read,
-                                bool reply_leg);
-  void NotifyRemoteTimeout(sim::Time now, const RemoteRead& read, int attempt,
-                           bool will_retry);
-  void NotifyDegradedRead(sim::Time now, const RemoteRead& read);
+  // Calls `hook` with `args` on every registered observer.
+  template <typename... Params>
+  void Notify(void (SystemObserver::*hook)(Params...),
+              std::type_identity_t<Params>... args) {
+    if (empty()) return;
+    Dispatch(hook, args...);
+  }
 
  private:
-  // Runs `fn(observer)` over the registration order, tolerating
-  // add/remove from inside the callbacks.
-  template <typename Fn>
-  void Dispatch(Fn&& fn);
+  // Calls `hook` over the registration order, tolerating add/remove
+  // from inside the callbacks. Out of line, so that a notify on the
+  // simulation's hot path stays one test and one call.
+  template <typename... Params>
+  [[gnu::noinline]] void Dispatch(void (SystemObserver::*hook)(Params...),
+                                  std::type_identity_t<Params>... args) {
+    ++dispatch_depth_;
+    // Observers appended mid-dispatch grow the vector past `end`; they
+    // hear the next event, not this one.
+    const std::size_t end = observers_.size();
+    for (std::size_t i = 0; i < end; ++i) {
+      SystemObserver* observer = observers_[i];
+      if (observer == nullptr) continue;
+      (observer->*hook)(args...);
+      // An observer removed from inside a callback must have been
+      // nulled in place, never erased: erasure would shift the slots a
+      // concurrent walk indexes, invoking a removed observer later in
+      // the same notify round.
+      STRIP_CHECK_MSG(i < observers_.size() &&
+                          (observers_[i] == observer ||
+                           observers_[i] == nullptr),
+                      "observer slot moved mid-dispatch");
+    }
+    --dispatch_depth_;
+    if (dispatch_depth_ == 0 && needs_compaction_) Compact();
+  }
 
   // Drops slots nulled by Remove() once no dispatch is walking them.
   void Compact();

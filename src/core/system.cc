@@ -153,7 +153,7 @@ void System::ChargeSegmentCpu() {
   const sim::Time start = std::max(segment_start_, observation_start_);
   const sim::Duration elapsed = simulator_->now() - start;
   if (elapsed <= 0) return;
-  if (segment_is_remote_work_) {
+  if (cpu_owner_ == CpuOwner::kRemote) {
     metrics_.cpu_remote_seconds += elapsed;
   } else if (segment_is_update_work_) {
     metrics_.cpu_update_seconds += elapsed;
@@ -207,7 +207,7 @@ void System::ResetObservation() {
         live.transaction->cls())];
   }
   metrics_.updates_arrived = os_queue_.size() + update_queue_.size();
-  if (updater_job_.kind != UpdaterJob::Kind::kNone) {
+  if (cpu_owner_ == CpuOwner::kUpdater) {
     // One more is mid-install on the CPU.
     ++metrics_.updates_arrived;
   }
@@ -220,9 +220,8 @@ void System::ResetObservation() {
   os_length_.StartAt(simulator_->now(),
                      static_cast<double>(os_queue_.size()));
   uq_length_max_ = update_queue_.size();
-  if (!bus_.empty()) {
-    bus_.NotifyPhase(simulator_->now(), SystemObserver::Phase::kWarmupEnd);
-  }
+  bus_.Notify(&SystemObserver::OnPhase, simulator_->now(),
+              SystemObserver::Phase::kWarmupEnd);
 }
 
 void System::Finalize(sim::Time end) {
@@ -238,14 +237,9 @@ void System::Finalize(sim::Time end) {
   }
   if (update_stream_ != nullptr) update_stream_->Stop();
   if (txn_source_ != nullptr) txn_source_->Stop();
-  if (remote_waiting_ != nullptr) {
-    // A transaction still parked on a remote read at the cut-off: its
-    // wait so far counts toward the window.
-    CancelRemoteTimer();
-    metrics_.remote_wait_seconds +=
-        end - std::max(remote_wait_start_, observation_start_);
-    remote_waiting_ = nullptr;
-  }
+  // A transaction still parked on a remote read at the cut-off: its
+  // wait so far counts toward the window.
+  if (remote_waiting_ != nullptr) ReleaseRemoteHold(end);
   metrics_.observed_seconds = end - observation_start_;
   metrics_.f_old_low =
       tracker_.FractionStaleAverage(db::ObjectClass::kLowImportance, end);
@@ -272,9 +266,7 @@ void System::Finalize(sim::Time end) {
     metrics_.governor_engaged_seconds +=
         end - std::max(governor_engage_time_, observation_start_);
   }
-  if (!bus_.empty()) {
-    bus_.NotifyPhase(end, SystemObserver::Phase::kRunEnd);
-  }
+  bus_.Notify(&SystemObserver::OnPhase, end, SystemObserver::Phase::kRunEnd);
 }
 
 sim::Duration System::CpuTxnSecondsNow() const {
@@ -309,15 +301,11 @@ void System::InjectUpdate(const db::Update& update) {
 
 void System::OnUpdateArrival(const db::Update& update) {
   ++metrics_.updates_arrived;
-  if (!bus_.empty()) {
-    bus_.NotifyUpdateArrival(simulator_->now(), update);
-  }
+  bus_.Notify(&SystemObserver::OnUpdateArrival, simulator_->now(), update);
   if (!os_queue_.Push(update)) {
     ++metrics_.updates_dropped_os_full;
-    if (!bus_.empty()) {
-      bus_.NotifyUpdateDropped(simulator_->now(), update,
-                               SystemObserver::DropReason::kOsQueueFull);
-    }
+    bus_.Notify(&SystemObserver::OnUpdateDropped, simulator_->now(), update,
+                SystemObserver::DropReason::kOsQueueFull);
     return;
   }
   if (update.object.cls == db::ObjectClass::kHighImportance) {
@@ -331,10 +319,10 @@ void System::OnUpdateArrival(const db::Update& update) {
       // 2·x_switch receive penalty is charged to the update work about
       // to start (Section 3.3, step 2).
       if (!bus_.empty()) {
-        bus_.NotifyPolicyDecision(
-            simulator_->now(), config_.policy,
-            SystemObserver::SchedulerChoice::kInstallOnArrival,
-            policy_->ArrivalReason(update));
+        bus_.Notify(&SystemObserver::OnPolicyDecision, simulator_->now(),
+                    config_.policy,
+                    SystemObserver::SchedulerChoice::kInstallOnArrival,
+                    policy_->ArrivalReason(update));
       }
       PreemptRunningTxn(SystemObserver::PreemptReason::kUpdateArrival);
       StartUpdaterJob(/*preempting=*/true);
@@ -360,7 +348,8 @@ void System::OnTxnArrival(const txn::Transaction::Params& params) {
       txn::Transaction rejected(params);
       rejected.set_outcome(txn::TxnOutcome::kOverloadDrop);
       rejected.set_completion_time(simulator_->now());
-      bus_.NotifyTransactionTerminal(simulator_->now(), rejected);
+      bus_.Notify(&SystemObserver::OnTransactionTerminal, simulator_->now(),
+                  rejected);
     }
     return;
   }
@@ -373,9 +362,7 @@ void System::OnTxnArrival(const txn::Transaction::Params& params) {
       t->deadline(), [this, id] { OnDeadline(id); });
   live_txns_.emplace(id, std::move(entry));
   ready_.Add(t);
-  if (!bus_.empty()) {
-    bus_.NotifyTxnAdmitted(simulator_->now(), *t);
-  }
+  bus_.Notify(&SystemObserver::OnTxnAdmitted, simulator_->now(), *t);
   if (sharded_) {
     for (const base::ShardId owner : params.read_owners) {
       if (owner != shard_link_.shard_id) {
@@ -400,41 +387,29 @@ void System::OnDeadline(base::TxnId txn_id) {
   if (it == live_txns_.end()) return;  // already terminal
   txn::Transaction* t = it->second.transaction.get();
   if (t == running_) {
-    // Firm deadline: the transaction is cut down mid-flight.
-    ChargeSegmentCpu();
-    const double executed = std::max(
-        0.0, (simulator_->now() - segment_start_) * segment_ips_ -
-                 segment_extra_instructions_);
-    t->ChargePartial(std::min(executed, RemainingOfCurrentStep(*t)));
-    simulator_->Cancel(completion_);
-    if (!bus_.empty()) {
-      // Close the open dispatch span: the deadline cut it short.
-      bus_.NotifyPreempt(simulator_->now(), *t,
-                         SystemObserver::PreemptReason::kDeadline);
-    }
-    running_ = nullptr;
-    cpu_owner_ = CpuOwner::kIdle;
-    Terminate(t, txn::TxnOutcome::kMissedDeadline);
-    ScheduleNext();
-  } else if (t == remote_waiting_) {
+    // Firm deadline: the transaction is cut down mid-flight, which
+    // closes its open dispatch span.
+    CutSegmentShort();
+    bus_.Notify(&SystemObserver::OnPreempt, simulator_->now(), *t,
+                SystemObserver::PreemptReason::kDeadline);
+    ExitRunningTxn(txn::TxnOutcome::kMissedDeadline);
+    return;
+  }
+  if (t == remote_waiting_) {
     // Parked on a remote read: the firm deadline releases the hold (the
     // peer's reply, if it ever arrives, resolves as orphaned).
-    CancelRemoteTimer();
-    remote_waiting_ = nullptr;
-    metrics_.remote_wait_seconds +=
-        simulator_->now() - std::max(remote_wait_start_, observation_start_);
-    Terminate(t, txn::TxnOutcome::kMissedDeadline);
-    if (cpu_owner_ == CpuOwner::kIdle) ScheduleNext();
+    ReleaseRemoteHold(simulator_->now());
   } else if (t == remote_resume_) {
     // Reply arrived but the resume never got the CPU back in time.
     remote_resume_ = nullptr;
-    Terminate(t, txn::TxnOutcome::kMissedDeadline);
-    if (cpu_owner_ == CpuOwner::kIdle) ScheduleNext();
   } else {
     const bool was_ready = ready_.Remove(t);
     STRIP_CHECK_MSG(was_ready, "pending txn neither ready nor running");
     Terminate(t, txn::TxnOutcome::kMissedDeadline);
+    return;
   }
+  Terminate(t, txn::TxnOutcome::kMissedDeadline);
+  if (cpu_owner_ == CpuOwner::kIdle) ScheduleNext();
 }
 
 // --- the scheduler ----------------------------------------------------------
@@ -469,11 +444,9 @@ void System::ScheduleNext() {
     // transaction is parked on a peer still serves its peers' reads, so
     // circular rendezvous always drain (no cross-shard deadlock).
     if (!remote_queue_.empty()) {
-      if (!bus_.empty()) {
-        bus_.NotifyPolicyDecision(
-            simulator_->now(), config_.policy,
-            SystemObserver::SchedulerChoice::kServeRemote, "remote-pending");
-      }
+      bus_.Notify(&SystemObserver::OnPolicyDecision, simulator_->now(),
+                  config_.policy, SystemObserver::SchedulerChoice::kServeRemote,
+                  "remote-pending");
       StartRemoteService();
       return;
     }
@@ -496,11 +469,9 @@ void System::ScheduleNext() {
   // *interrupted* to receive, but once the controller gets control the
   // accumulated arrivals are received at once.
   if (!os_queue_.empty()) {
-    if (!bus_.empty()) {
-      bus_.NotifyPolicyDecision(simulator_->now(), config_.policy,
-                                SystemObserver::SchedulerChoice::kReceive,
-                                "os-pending");
-    }
+    bus_.Notify(&SystemObserver::OnPolicyDecision, simulator_->now(),
+                config_.policy, SystemObserver::SchedulerChoice::kReceive,
+                "os-pending");
     StartUpdaterJob(/*preempting=*/false);
     return;
   }
@@ -512,22 +483,22 @@ void System::ScheduleNext() {
   if (install_work &&
       (ready_.empty() || policy_->UpdaterHasPriority(MakeUpdaterContext()))) {
     if (!bus_.empty()) {
-      bus_.NotifyPolicyDecision(
-          simulator_->now(), config_.policy,
-          SystemObserver::SchedulerChoice::kInstall,
-          ready_.empty() ? "system-idle"
-                         : policy_->PriorityReason(MakeUpdaterContext()));
+      bus_.Notify(&SystemObserver::OnPolicyDecision, simulator_->now(),
+                  config_.policy, SystemObserver::SchedulerChoice::kInstall,
+                  ready_.empty()
+                      ? "system-idle"
+                      : policy_->PriorityReason(MakeUpdaterContext()));
     }
     StartUpdaterJob(/*preempting=*/false);
     return;
   }
   if (!ready_.empty()) {
     if (!bus_.empty()) {
-      bus_.NotifyPolicyDecision(
-          simulator_->now(), config_.policy,
-          SystemObserver::SchedulerChoice::kRunTransaction,
-          install_work ? policy_->PriorityReason(MakeUpdaterContext())
-                       : "txn-ready");
+      bus_.Notify(&SystemObserver::OnPolicyDecision, simulator_->now(),
+                  config_.policy,
+                  SystemObserver::SchedulerChoice::kRunTransaction,
+                  install_work ? policy_->PriorityReason(MakeUpdaterContext())
+                               : "txn-ready");
     }
     txn::Transaction* t = ready_.PopBest(EffectiveIps(), config_.txn_sched);
     STRIP_CHECK(t != nullptr);
@@ -535,11 +506,9 @@ void System::ScheduleNext() {
     return;
   }
   // Otherwise: idle until the next arrival.
-  if (!bus_.empty()) {
-    bus_.NotifyPolicyDecision(simulator_->now(), config_.policy,
-                              SystemObserver::SchedulerChoice::kIdle,
-                              "no-work");
-  }
+  bus_.Notify(&SystemObserver::OnPolicyDecision, simulator_->now(),
+              config_.policy, SystemObserver::SchedulerChoice::kIdle,
+              "no-work");
 }
 
 // --- update process -----------------------------------------------------------
@@ -567,10 +536,8 @@ void System::PurgeExpired() {
     tracker_.OnRemovedFromQueue(u);
     ++metrics_.updates_dropped_expired;
     purge_debt_instructions_ += QueueOpCostInstructions(size_before--);
-    if (!bus_.empty()) {
-      bus_.NotifyUpdateDropped(simulator_->now(), u,
-                               SystemObserver::DropReason::kExpired);
-    }
+    bus_.Notify(&SystemObserver::OnUpdateDropped, simulator_->now(), u,
+                SystemObserver::DropReason::kExpired);
   }
   NoteUqLength();
 }
@@ -588,57 +555,55 @@ System::UpdaterJob System::SelectUpdaterJob() {
     if (!policy_->UsesUpdateQueue() || policy_->InstallOnArrival(*u)) {
       // UF installs everything straight from the OS queue; SU installs
       // high-importance updates directly.
-      job.kind = UpdaterJob::Kind::kInstallFromOs;
-      job.worthy = database_.IsWorthy(*u);
+      job.kind = SystemObserver::DispatchKind::kUpdaterInstallOs;
+      const bool worthy = database_.IsWorthy(*u);
       job.cost_instructions =
           config_.x_lookup + MaybeIoStallInstructions() +
-          (job.worthy ? config_.x_update + MaybeTriggerInstructions()
-                      : 0.0);
+          (worthy ? config_.x_update + MaybeTriggerInstructions() : 0.0);
     } else {
-      job.kind = UpdaterJob::Kind::kTransferToQueue;
+      job.kind = SystemObserver::DispatchKind::kUpdaterTransfer;
       job.cost_instructions =
           QueueOpCostInstructions(update_queue_.size() + 1);
     }
     return job;
   }
-  if (policy_->UsesUpdateQueue() && !update_queue_.empty()) {
-    const std::size_t size_before = update_queue_.size();
-    // While the overload governor is engaged the updater triages:
-    // newest-first (LIFO freshens objects fastest per install) and
-    // high-importance before low, regardless of the configured
-    // discipline.
-    const bool fifo =
-        config_.queue_discipline == QueueDiscipline::kFifo &&
-        !governor_engaged_;
-    std::optional<db::Update> u;
-    if (config_.split_importance_queues || governor_engaged_) {
-      // Drain queued high-importance updates before low-importance
-      // ones (split-queue extension).
+  STRIP_CHECK_MSG(policy_->UsesUpdateQueue() && !update_queue_.empty(),
+                  "updater started with no work");
+  const std::size_t size_before = update_queue_.size();
+  // While the overload governor is engaged the updater triages:
+  // newest-first (LIFO freshens objects fastest per install) and
+  // high-importance before low, regardless of the configured
+  // discipline.
+  const bool fifo =
+      config_.queue_discipline == QueueDiscipline::kFifo &&
+      !governor_engaged_;
+  std::optional<db::Update> u;
+  if (config_.split_importance_queues || governor_engaged_) {
+    // Drain queued high-importance updates before low-importance
+    // ones (split-queue extension).
+    u = fifo ? update_queue_.PopOldestOfClass(
+                   db::ObjectClass::kHighImportance)
+             : update_queue_.PopNewestOfClass(
+                   db::ObjectClass::kHighImportance);
+    if (!u.has_value()) {
       u = fifo ? update_queue_.PopOldestOfClass(
-                     db::ObjectClass::kHighImportance)
+                     db::ObjectClass::kLowImportance)
                : update_queue_.PopNewestOfClass(
-                     db::ObjectClass::kHighImportance);
-      if (!u.has_value()) {
-        u = fifo ? update_queue_.PopOldestOfClass(
-                       db::ObjectClass::kLowImportance)
-                 : update_queue_.PopNewestOfClass(
-                       db::ObjectClass::kLowImportance);
-      }
-    } else {
-      u = fifo ? update_queue_.PopOldest() : update_queue_.PopNewest();
+                     db::ObjectClass::kLowImportance);
     }
-    STRIP_CHECK(u.has_value());
-    tracker_.OnRemovedFromQueue(*u);
-    NoteUqLength();
-    job.kind = UpdaterJob::Kind::kInstallFromUq;
-    job.update = *u;
-    job.worthy = database_.IsWorthy(*u);
-    job.cost_instructions =
-        QueueOpCostInstructions(size_before) + config_.x_lookup +
-        MaybeIoStallInstructions() +
-        (job.worthy ? config_.x_update + MaybeTriggerInstructions() : 0.0);
-    return job;
+  } else {
+    u = fifo ? update_queue_.PopOldest() : update_queue_.PopNewest();
   }
+  STRIP_CHECK(u.has_value());
+  tracker_.OnRemovedFromQueue(*u);
+  NoteUqLength();
+  job.kind = SystemObserver::DispatchKind::kUpdaterInstallUq;
+  job.update = *u;
+  const bool worthy = database_.IsWorthy(*u);
+  job.cost_instructions =
+      QueueOpCostInstructions(size_before) + config_.x_lookup +
+      MaybeIoStallInstructions() +
+      (worthy ? config_.x_update + MaybeTriggerInstructions() : 0.0);
   return job;
 }
 
@@ -646,30 +611,15 @@ void System::StartUpdaterJob(bool preempting) {
   STRIP_CHECK(cpu_owner_ == CpuOwner::kIdle);
   PurgeExpired();
   updater_job_ = SelectUpdaterJob();
-  STRIP_CHECK_MSG(updater_job_.kind != UpdaterJob::Kind::kNone,
-                  "updater started with no work");
-  cpu_owner_ = CpuOwner::kUpdater;
-  double extra = purge_debt_instructions_;
-  purge_debt_instructions_ = 0;
-  if (preempting) {
-    extra += 2 * config_.x_switch;
-  } else if (last_process_ != kUpdaterProcess &&
-             last_process_ != kNoProcess) {
-    extra += config_.x_switch;
-  }
-  last_process_ = kUpdaterProcess;
-  segment_start_ = simulator_->now();
-  segment_extra_instructions_ = extra;
-  segment_is_update_work_ = true;
-  segment_is_remote_work_ = false;
-  segment_ips_ = EffectiveIps();
-  if (!bus_.empty()) {
-    bus_.NotifyDispatch(simulator_->now(), CurrentDispatchInfo());
-  }
-  completion_ = simulator_->ScheduleAfter(
-      sim::InstructionsToSeconds(updater_job_.cost_instructions + extra,
-                                 segment_ips_),
-      [this] { OnUpdaterJobComplete(); });
+  // The slice also pays the purge debt accrued since the last one.
+  const double switch_charge = SwitchCharge(kUpdaterProcess);
+  const double extra = std::exchange(purge_debt_instructions_, 0.0) +
+                       (preempting ? 2 * config_.x_switch : switch_charge);
+  SystemObserver::DispatchInfo dispatch;
+  dispatch.kind = updater_job_.kind;
+  dispatch.update = &updater_job_.update;
+  BeginSegment(CpuOwner::kUpdater, dispatch, updater_job_.cost_instructions,
+               extra, /*update_work=*/true);
 }
 
 bool System::DedupAgainstQueue(const db::Update& update) {
@@ -683,20 +633,16 @@ bool System::DedupAgainstQueue(const db::Update& update) {
     if (!existing.has_value()) return true;
     if (existing->generation_time >= update.generation_time) {
       ++metrics_.updates_dropped_superseded;
-      if (!bus_.empty()) {
-        bus_.NotifyUpdateDropped(simulator_->now(), update,
-                                 SystemObserver::DropReason::kSuperseded);
-      }
+      bus_.Notify(&SystemObserver::OnUpdateDropped, simulator_->now(),
+                  update, SystemObserver::DropReason::kSuperseded);
       return false;
     }
     const bool removed = update_queue_.Remove(*existing);
     STRIP_CHECK(removed);
     tracker_.OnRemovedFromQueue(*existing);
     ++metrics_.updates_dropped_superseded;
-    if (!bus_.empty()) {
-      bus_.NotifyUpdateDropped(simulator_->now(), *existing,
-                               SystemObserver::DropReason::kSuperseded);
-    }
+    bus_.Notify(&SystemObserver::OnUpdateDropped, simulator_->now(),
+                *existing, SystemObserver::DropReason::kSuperseded);
   }
 }
 
@@ -713,10 +659,8 @@ bool System::ShedForIncoming(const db::Update& incoming) {
   const db::Update& shed = victim.has_value() ? *victim : incoming;
   if (victim.has_value()) tracker_.OnRemovedFromQueue(*victim);
   ++metrics_.updates_shed_by_class[static_cast<int>(shed.object.cls)];
-  if (!bus_.empty()) {
-    bus_.NotifyUpdateDropped(simulator_->now(), shed,
-                             SystemObserver::DropReason::kOverloadShed);
-  }
+  bus_.Notify(&SystemObserver::OnUpdateDropped, simulator_->now(), shed,
+              SystemObserver::DropReason::kOverloadShed);
   return victim.has_value();
 }
 
@@ -736,9 +680,8 @@ void System::InstallNow(const db::Update& update,
                        database_.value(update.object));
     }
     ++metrics_.updates_installed;
-    if (!bus_.empty()) {
-      bus_.NotifyUpdateInstalled(simulator_->now(), update, on_demand_by);
-    }
+    bus_.Notify(&SystemObserver::OnUpdateInstalled, simulator_->now(), update,
+                on_demand_by);
     if (fault_windows_active_ > 0 || outage_recovering_) {
       // Installs are what heal freshness — check the recovery clock at
       // each one so time-to-fresh is measured at the healing install,
@@ -747,25 +690,26 @@ void System::InstallNow(const db::Update& update,
     }
   } else {
     ++metrics_.updates_unworthy;
-    if (!bus_.empty()) {
-      bus_.NotifyUpdateDropped(simulator_->now(), update,
-                               SystemObserver::DropReason::kUnworthy);
-    }
+    bus_.Notify(&SystemObserver::OnUpdateDropped, simulator_->now(), update,
+                SystemObserver::DropReason::kUnworthy);
   }
 }
 
+void System::InstallFromQueue(const db::Update& update,
+                              const txn::Transaction* on_demand_by) {
+  const bool removed = update_queue_.Remove(update);
+  STRIP_CHECK(removed);
+  tracker_.OnRemovedFromQueue(update);
+  NoteUqLength();
+  InstallNow(update, on_demand_by);
+}
+
 void System::OnUpdaterJobComplete() {
-  STRIP_CHECK(cpu_owner_ == CpuOwner::kUpdater);
-  if (!bus_.empty()) {
-    bus_.NotifySegmentComplete(simulator_->now(), CurrentDispatchInfo());
-  }
-  ChargeSegmentCpu();
-  const UpdaterJob job = updater_job_;
-  updater_job_ = UpdaterJob{};
   cpu_owner_ = CpuOwner::kIdle;
-  switch (job.kind) {
-    case UpdaterJob::Kind::kTransferToQueue: {
-      if (config_.dedup_update_queue && !DedupAgainstQueue(job.update)) {
+  const db::Update& update = updater_job_.update;
+  switch (updater_job_.kind) {
+    case SystemObserver::DispatchKind::kUpdaterTransfer: {
+      if (config_.dedup_update_queue && !DedupAgainstQueue(update)) {
         // A newer update for the same object is already queued: this
         // one is worthless (complete updates to snapshot views) and is
         // dropped at receive.
@@ -773,57 +717,99 @@ void System::OnUpdaterJobComplete() {
       }
       if (config_.shed_by_importance &&
           update_queue_.size() >= update_queue_.max_size() &&
-          !ShedForIncoming(job.update)) {
+          !ShedForIncoming(update)) {
         // The queue is full of higher-importance work than this
         // low-importance arrival: shed the arrival itself.
         break;
       }
-      const std::vector<db::Update> evicted =
-          update_queue_.Push(job.update);
-      tracker_.OnEnqueued(job.update);
-      if (!bus_.empty()) {
-        bus_.NotifyUpdateEnqueued(simulator_->now(), job.update);
-      }
+      const std::vector<db::Update> evicted = update_queue_.Push(update);
+      tracker_.OnEnqueued(update);
+      bus_.Notify(&SystemObserver::OnUpdateEnqueued, simulator_->now(),
+                  update);
       for (const db::Update& e : evicted) {
         tracker_.OnRemovedFromQueue(e);
         ++metrics_.updates_dropped_uq_overflow;
-        if (!bus_.empty()) {
-          bus_.NotifyUpdateDropped(simulator_->now(), e,
-                                   SystemObserver::DropReason::kQueueOverflow);
-        }
+        bus_.Notify(&SystemObserver::OnUpdateDropped, simulator_->now(), e,
+                    SystemObserver::DropReason::kQueueOverflow);
       }
       NoteUqLength();
       break;
     }
-    case UpdaterJob::Kind::kInstallFromOs:
-    case UpdaterJob::Kind::kInstallFromUq:
-      InstallNow(job.update);
+    case SystemObserver::DispatchKind::kUpdaterInstallOs:
+    case SystemObserver::DispatchKind::kUpdaterInstallUq:
+      InstallNow(update);
       break;
-    case UpdaterJob::Kind::kNone:
-      STRIP_CHECK_MSG(false, "updater job completed with no job");
+    default:
+      STRIP_CHECK_MSG(false, "updater job of a transaction kind");
       break;
   }
   ScheduleNext();
 }
 
-// --- transaction processes -------------------------------------------------------
+// --- CPU segments -----------------------------------------------------------
 
-double System::RemainingOfCurrentStep(const txn::Transaction& t) const {
-  return t.next_step().instructions;
+double System::SwitchCharge(std::uint64_t process) {
+  const bool switched =
+      last_process_ != process && last_process_ != kNoProcess;
+  last_process_ = process;
+  return switched ? config_.x_switch : 0.0;
 }
+
+void System::BeginSegment(CpuOwner owner,
+                          const SystemObserver::DispatchInfo& dispatch,
+                          double work_instructions, double extra_instructions,
+                          bool update_work) {
+  cpu_owner_ = owner;
+  segment_start_ = simulator_->now();
+  segment_extra_instructions_ = extra_instructions;
+  segment_is_update_work_ = update_work;
+  segment_ips_ = EffectiveIps();
+  dispatch_ = dispatch;
+  dispatch_.instructions = work_instructions + extra_instructions;
+  bus_.Notify(&SystemObserver::OnDispatch, simulator_->now(), dispatch_);
+  completion_ = simulator_->ScheduleAfter(
+      sim::InstructionsToSeconds(dispatch_.instructions, segment_ips_),
+      [this] { EndSegment(); });
+}
+
+void System::EndSegment() {
+  bus_.Notify(&SystemObserver::OnSegmentComplete, simulator_->now(),
+              dispatch_);
+  ChargeSegmentCpu();
+  switch (cpu_owner_) {
+    case CpuOwner::kUpdater:
+      OnUpdaterJobComplete();
+      return;
+    case CpuOwner::kTxn:
+      OnTxnSegmentComplete();
+      return;
+    case CpuOwner::kRemote:
+      OnRemoteServiceComplete();
+      return;
+    case CpuOwner::kIdle:
+      break;
+  }
+  STRIP_CHECK_MSG(false, "segment completed on an idle CPU");
+}
+
+void System::CutSegmentShort() {
+  ChargeSegmentCpu();
+  const double executed = std::max(
+      0.0, (simulator_->now() - segment_start_) * segment_ips_ -
+               segment_extra_instructions_);
+  running_->ChargePartial(
+      std::min(executed, running_->next_step().instructions));
+  simulator_->Cancel(completion_);
+}
+
+// --- transaction processes -------------------------------------------------
 
 void System::StartTxnSegment(txn::Transaction* transaction) {
   STRIP_CHECK(cpu_owner_ == CpuOwner::kIdle);
   STRIP_CHECK(transaction != nullptr);
   cpu_owner_ = CpuOwner::kTxn;
   running_ = transaction;
-  double extra = 0;
-  const std::uint64_t pid = TxnProcessId(*transaction);
-  if (last_process_ != pid && last_process_ != kNoProcess) {
-    extra = config_.x_switch;
-  }
-  last_process_ = pid;
-  ScheduleTxnStep(extra);
+  ScheduleTxnStep(SwitchCharge(TxnProcessId(*transaction)));
 }
 
 void System::ScheduleTxnStep(double extra_instructions) {
@@ -831,11 +817,9 @@ void System::ScheduleTxnStep(double extra_instructions) {
   STRIP_CHECK(t != nullptr);
   const txn::Transaction::NextStep step = t->next_step();
   if (step.kind == txn::Transaction::NextStep::Kind::kDone) {
-    // Degenerate zero-work transaction: commits immediately.
-    running_ = nullptr;
-    cpu_owner_ = CpuOwner::kIdle;
-    Commit(t);
-    ScheduleNext();
+    // Nothing left to run (its last step just completed, or it never
+    // had any work): the transaction commits.
+    ExitRunningTxn(txn::TxnOutcome::kCommitted);
     return;
   }
   if (step.kind == txn::Transaction::NextStep::Kind::kViewRead) {
@@ -853,30 +837,17 @@ void System::ScheduleTxnStep(double extra_instructions) {
     // re-probes the buffer — the page may have been evicted since.)
     extra_instructions += MaybeIoStallInstructions();
   }
-  segment_start_ = simulator_->now();
-  segment_extra_instructions_ = extra_instructions;
-  segment_is_update_work_ =
-      step.kind == txn::Transaction::NextStep::Kind::kOdScan ||
-      step.kind == txn::Transaction::NextStep::Kind::kOdApply;
-  segment_is_remote_work_ = false;
-  segment_ips_ = EffectiveIps();
-  if (!bus_.empty()) {
-    bus_.NotifyDispatch(simulator_->now(), CurrentDispatchInfo());
-  }
-  completion_ = simulator_->ScheduleAfter(
-      sim::InstructionsToSeconds(step.instructions + extra_instructions,
-                                 segment_ips_),
-      [this] { OnTxnSegmentComplete(); });
+  SystemObserver::DispatchInfo dispatch;
+  dispatch.kind = StepDispatchKind(step.kind);
+  dispatch.transaction = t;
+  BeginSegment(CpuOwner::kTxn, dispatch, step.instructions, extra_instructions,
+               step.kind == txn::Transaction::NextStep::Kind::kOdScan ||
+                   step.kind == txn::Transaction::NextStep::Kind::kOdApply);
 }
 
 void System::OnTxnSegmentComplete() {
-  STRIP_CHECK(cpu_owner_ == CpuOwner::kTxn);
-  STRIP_CHECK(running_ != nullptr);
-  if (!bus_.empty()) {
-    bus_.NotifySegmentComplete(simulator_->now(), CurrentDispatchInfo());
-  }
-  ChargeSegmentCpu();
   txn::Transaction* t = running_;
+  STRIP_CHECK(t != nullptr);
   const txn::Transaction::NextStep step = t->next_step();
   switch (step.kind) {
     case txn::Transaction::NextStep::Kind::kCompute:
@@ -900,26 +871,15 @@ void System::OnTxnSegmentComplete() {
   // A stale-read abort inside a handler frees the transaction (and may
   // already have handed the CPU to someone else), so `t` must not be
   // dereferenced unless it still owns the CPU.
-  if (running_ != t) {
-    return;
-  }
-  if (t->finished()) {
-    running_ = nullptr;
-    cpu_owner_ = CpuOwner::kIdle;
-    Commit(t);
-    ScheduleNext();
-    return;
-  }
-  ScheduleTxnStep(0);
+  if (running_ == t) ScheduleTxnStep(0);
 }
 
-bool System::CanAffordExtraWork(const txn::Transaction& transaction,
-                                double extra_instructions) const {
-  if (!config_.feasible_deadline) return true;
-  const sim::Duration needed = sim::InstructionsToSeconds(
-      extra_instructions + transaction.remaining_base_instructions(),
-      EffectiveIps());
-  return simulator_->now() + needed <= transaction.deadline();
+bool System::FitsBeforeDeadline(double instructions,
+                                sim::Time deadline) const {
+  return !config_.feasible_deadline ||
+         simulator_->now() +
+                 sim::InstructionsToSeconds(instructions, EffectiveIps()) <=
+             deadline;
 }
 
 void System::HandleViewRead(txn::Transaction* transaction,
@@ -940,11 +900,14 @@ void System::HandleViewRead(txn::Transaction* transaction,
     // queue search that may yet heal the read — the OnStaleRead event
     // fires at detection time, whether or not an on-demand install
     // follows. (Metrics still only count reads that stay stale.)
-    if (timestamped && !bus_.empty()) {
-      bus_.NotifyStaleRead(simulator_->now(), *transaction, object);
+    if (timestamped) {
+      bus_.Notify(&SystemObserver::OnStaleRead, simulator_->now(),
+                  *transaction, object);
     }
     const double scan_cost = ScanCostInstructions();
-    if (CanAffordExtraWork(*transaction, scan_cost)) {
+    if (FitsBeforeDeadline(
+            scan_cost + transaction->remaining_base_instructions(),
+            transaction->deadline())) {
       transaction->PushExtraStep(
           {txn::Transaction::NextStep::Kind::kOdScan, scan_cost, object});
       return;
@@ -977,6 +940,16 @@ bool System::UpdateCouldFreshen(const db::Update& update) const {
   return true;
 }
 
+std::optional<db::Update> System::OnDemandCandidate(
+    db::ObjectId object) const {
+  std::optional<db::Update> candidate = update_queue_.PeekNewestFor(object);
+  if (!candidate.has_value() || !database_.IsWorthy(*candidate) ||
+      !UpdateCouldFreshen(*candidate)) {
+    return std::nullopt;
+  }
+  return candidate;
+}
+
 void System::ResolveOdScan(txn::Transaction* transaction,
                            db::ObjectId object) {
   // Under UU (and MA+UU) the queue search *is* the staleness check:
@@ -984,15 +957,11 @@ void System::ResolveOdScan(txn::Transaction* transaction,
   // fires here — even when the apply that follows heals the read. The
   // MA-family path already fired it at the timestamp check.
   if (!db::DetectableByTimestamp(config_.staleness) &&
-      tracker_.IsStale(object) && !bus_.empty()) {
-    bus_.NotifyStaleRead(simulator_->now(), *transaction, object);
+      tracker_.IsStale(object)) {
+    bus_.Notify(&SystemObserver::OnStaleRead, simulator_->now(),
+                *transaction, object);
   }
-  const std::optional<db::Update> candidate =
-      update_queue_.PeekNewestFor(object);
-  const bool usable = candidate.has_value() &&
-                      database_.IsWorthy(*candidate) &&
-                      UpdateCouldFreshen(*candidate);
-  if (usable) {
+  if (OnDemandCandidate(object).has_value()) {
     const double cost =
         config_.x_update + QueueOpCostInstructions(update_queue_.size());
     transaction->PushExtraStep(
@@ -1007,17 +976,8 @@ void System::ResolveOdScan(txn::Transaction* transaction,
 
 void System::PerformOdApply(txn::Transaction* transaction,
                             db::ObjectId object) {
-  const std::optional<db::Update> candidate =
-      update_queue_.PeekNewestFor(object);
-  const bool usable = candidate.has_value() &&
-                      database_.IsWorthy(*candidate) &&
-                      UpdateCouldFreshen(*candidate);
-  if (usable) {
-    const bool removed = update_queue_.Remove(*candidate);
-    STRIP_CHECK(removed);
-    tracker_.OnRemovedFromQueue(*candidate);
-    NoteUqLength();
-    InstallNow(*candidate, transaction);
+  if (const std::optional<db::Update> candidate = OnDemandCandidate(object)) {
+    InstallFromQueue(*candidate, transaction);
     ++metrics_.updates_applied_on_demand;
   }
   if (tracker_.IsStale(object)) {
@@ -1030,71 +990,80 @@ bool System::RecordStaleRead(txn::Transaction* transaction,
                              db::ObjectId object, bool detected,
                              bool notify) {
   transaction->MarkStaleRead();
-  if (notify && !bus_.empty()) {
-    bus_.NotifyStaleRead(simulator_->now(), *transaction, object);
+  if (notify) {
+    bus_.Notify(&SystemObserver::OnStaleRead, simulator_->now(),
+                *transaction, object);
   }
   if (!config_.abort_on_stale || !detected) return false;
   STRIP_CHECK(transaction == running_);
-  running_ = nullptr;
-  cpu_owner_ = CpuOwner::kIdle;
-  Terminate(transaction, txn::TxnOutcome::kStaleAbort);
-  ScheduleNext();
+  ExitRunningTxn(txn::TxnOutcome::kStaleAbort);
   return true;
 }
 
 void System::PreemptRunningTxn(SystemObserver::PreemptReason reason) {
   STRIP_CHECK(cpu_owner_ == CpuOwner::kTxn);
   STRIP_CHECK(running_ != nullptr);
-  if (!bus_.empty()) {
-    bus_.NotifyPreempt(simulator_->now(), *running_, reason);
-  }
-  ChargeSegmentCpu();
-  const double executed = std::max(
-      0.0, (simulator_->now() - segment_start_) * segment_ips_ -
-               segment_extra_instructions_);
-  running_->ChargePartial(
-      std::min(executed, RemainingOfCurrentStep(*running_)));
-  simulator_->Cancel(completion_);
-  ready_.Add(running_);
-  running_ = nullptr;
-  cpu_owner_ = CpuOwner::kIdle;
+  bus_.Notify(&SystemObserver::OnPreempt, simulator_->now(), *running_,
+              reason);
+  CutSegmentShort();
+  ready_.Add(TakeRunningTxn());
 }
 
-SystemObserver::DispatchInfo System::CurrentDispatchInfo() const {
-  SystemObserver::DispatchInfo info;
-  if (cpu_owner_ == CpuOwner::kUpdater) {
-    switch (updater_job_.kind) {
-      case UpdaterJob::Kind::kTransferToQueue:
-        info.kind = SystemObserver::DispatchKind::kUpdaterTransfer;
-        break;
-      case UpdaterJob::Kind::kInstallFromOs:
-        info.kind = SystemObserver::DispatchKind::kUpdaterInstallOs;
-        break;
-      case UpdaterJob::Kind::kInstallFromUq:
-        info.kind = SystemObserver::DispatchKind::kUpdaterInstallUq;
-        break;
-      case UpdaterJob::Kind::kNone:
-        STRIP_CHECK_MSG(false, "dispatch info with no updater job");
-        break;
-    }
-    info.update = &updater_job_.update;
-    info.instructions =
-        updater_job_.cost_instructions + segment_extra_instructions_;
-    return info;
+txn::Transaction* System::TakeRunningTxn() {
+  cpu_owner_ = CpuOwner::kIdle;
+  return std::exchange(running_, nullptr);
+}
+
+void System::ExitRunningTxn(txn::TxnOutcome outcome) {
+  Terminate(TakeRunningTxn(), outcome);
+  ScheduleNext();
+}
+
+void System::Terminate(txn::Transaction* transaction,
+                       txn::TxnOutcome outcome) {
+  transaction->set_outcome(outcome);
+  transaction->set_completion_time(simulator_->now());
+  bus_.Notify(&SystemObserver::OnTransactionTerminal, simulator_->now(),
+              *transaction);
+  // A miss while a fault is active, or an outage recovery is still
+  // pending, is attributed to the fault.
+  const bool in_fault = fault_windows_active_ > 0 || outage_recovering_;
+  const int cls = static_cast<int>(transaction->cls());
+  switch (outcome) {
+    case txn::TxnOutcome::kCommitted:
+      ++metrics_.txns_committed;
+      ++metrics_.txns_committed_by_class[cls];
+      metrics_.value_committed_by_class[cls] += transaction->value();
+      response_times_.Add(simulator_->now() - transaction->arrival_time());
+      if (transaction->read_stale_data()) {
+        ++metrics_.txns_committed_stale;
+      } else {
+        ++metrics_.txns_committed_fresh;
+      }
+      metrics_.value_committed += transaction->value();
+      break;
+    case txn::TxnOutcome::kMissedDeadline:
+      ++metrics_.txns_missed_deadline;
+      if (in_fault) ++metrics_.txns_missed_in_fault;
+      break;
+    case txn::TxnOutcome::kInfeasible:
+      ++metrics_.txns_infeasible;
+      if (in_fault) ++metrics_.txns_missed_in_fault;
+      break;
+    case txn::TxnOutcome::kStaleAbort:
+      ++metrics_.txns_stale_aborted;
+      break;
+    case txn::TxnOutcome::kRemoteUnavailable:
+      ++metrics_.txns_remote_unavailable;
+      if (in_fault) ++metrics_.txns_missed_in_fault;
+      break;
+    default:
+      STRIP_CHECK_MSG(false, "Terminate with non-terminal outcome");
   }
-  if (cpu_owner_ == CpuOwner::kRemote) {
-    info.kind = SystemObserver::DispatchKind::kRemoteService;
-    info.remote = &remote_job_.read;
-    info.instructions =
-        remote_job_.cost_instructions + segment_extra_instructions_;
-    return info;
-  }
-  STRIP_CHECK(cpu_owner_ == CpuOwner::kTxn && running_ != nullptr);
-  const txn::Transaction::NextStep step = running_->next_step();
-  info.kind = StepDispatchKind(step.kind);
-  info.transaction = running_;
-  info.instructions = step.instructions + segment_extra_instructions_;
-  return info;
+  auto it = live_txns_.find(transaction->id());
+  STRIP_CHECK(it != live_txns_.end());
+  simulator_->Cancel(it->second.deadline_event);
+  live_txns_.erase(it);
 }
 
 // --- cross-shard rendezvous (sharded model) ----------------------------------
@@ -1128,16 +1097,16 @@ void System::EnterRemoteWait(txn::Transaction* transaction,
   // the request is in flight: the wait is not CPU work, so no segment
   // is dispatched (any pending switch charge dissolves — the CPU's
   // process does not change during the hold).
-  running_ = nullptr;
-  cpu_owner_ = CpuOwner::kIdle;
-  remote_waiting_ = transaction;
+  remote_waiting_ = TakeRunningTxn();
   remote_wait_start_ = simulator_->now();
-  remote_inflight_ = read;
   remote_attempt_ = 1;
+  IssueRemoteRead(read);
+}
+
+void System::IssueRemoteRead(const RemoteRead& read) {
+  remote_inflight_ = read;
   ++metrics_.remote_reads_issued;
-  if (!bus_.empty()) {
-    bus_.NotifyShardRemoteIssued(simulator_->now(), read);
-  }
+  bus_.Notify(&SystemObserver::OnShardRemoteIssued, simulator_->now(), read);
   // Arm before sending: a synchronous loopback reply cancels the timer
   // inside the send.
   ArmRemoteTimer();
@@ -1147,12 +1116,29 @@ void System::EnterRemoteWait(txn::Transaction* transaction,
   if (cpu_owner_ == CpuOwner::kIdle) ScheduleNext();
 }
 
+txn::Transaction* System::ReleaseRemoteHold(sim::Time end) {
+  CancelRemoteTimer();
+  metrics_.remote_wait_seconds +=
+      end - std::max(remote_wait_start_, observation_start_);
+  return std::exchange(remote_waiting_, nullptr);
+}
+
+void System::ResumeOrCommit(txn::Transaction* transaction) {
+  if (transaction->finished()) {
+    Terminate(transaction, txn::TxnOutcome::kCommitted);
+  } else {
+    // Resume on the CPU the transaction still holds; if a remote
+    // service segment occupies it right now, resume at the next settle
+    // point.
+    remote_resume_ = transaction;
+  }
+  if (cpu_owner_ == CpuOwner::kIdle) ScheduleNext();
+}
+
 void System::ReceiveRemoteRequest(const RemoteRead& read) {
   STRIP_CHECK(sharded_);
   remote_queue_.push_back(read);
-  if (!bus_.empty()) {
-    bus_.NotifyShardRemoteQueued(simulator_->now(), read);
-  }
+  bus_.Notify(&SystemObserver::OnShardRemoteQueued, simulator_->now(), read);
   if (cpu_owner_ == CpuOwner::kIdle) ScheduleNext();
 }
 
@@ -1162,75 +1148,43 @@ void System::StartRemoteService() {
   remote_job_ = RemoteJob{};
   remote_job_.read = remote_queue_.front();
   remote_queue_.pop_front();
+  const db::ObjectId object = remote_job_.read.object;
   double cost = config_.x_lookup + MaybeIoStallInstructions();
-  if (policy_->AppliesOnDemand()) {
-    // On Demand heals remote reads too: search the local update queue
-    // for a fresher value before answering, exactly as a local read
-    // would (HandleViewRead), gated by the affordability screen against
-    // the deadline carried in the request.
-    const bool timestamped = db::DetectableByTimestamp(config_.staleness);
-    if (!timestamped || tracker_.IsStale(remote_job_.read.object)) {
-      const double scan_cost = ScanCostInstructions();
-      const bool affordable =
-          !config_.feasible_deadline ||
-          simulator_->now() + sim::InstructionsToSeconds(cost + scan_cost,
-                                                         EffectiveIps()) <=
-              remote_job_.read.deadline;
-      if (affordable) {
-        remote_job_.scan_planned = true;
-        cost += scan_cost;
-        // The update queue cannot change while this segment holds the
-        // CPU, so the heal decision is safe to make at dispatch.
-        const std::optional<db::Update> candidate =
-            update_queue_.PeekNewestFor(remote_job_.read.object);
-        if (candidate.has_value() && database_.IsWorthy(*candidate) &&
-            UpdateCouldFreshen(*candidate)) {
-          remote_job_.apply = true;
-          remote_job_.candidate = *candidate;
-          cost += config_.x_update +
-                  QueueOpCostInstructions(update_queue_.size());
-        }
+  // On Demand heals remote reads too: search the local update queue
+  // for a fresher value before answering, exactly as a local read
+  // would (HandleViewRead), if the search fits before the deadline
+  // carried in the request.
+  if (policy_->AppliesOnDemand() &&
+      (!db::DetectableByTimestamp(config_.staleness) ||
+       tracker_.IsStale(object))) {
+    const double scan_cost = ScanCostInstructions();
+    if (FitsBeforeDeadline(cost + scan_cost, remote_job_.read.deadline)) {
+      remote_job_.scan_planned = true;
+      cost += scan_cost;
+      // The update queue cannot change while this segment holds the
+      // CPU, so the heal decision is safe to make at dispatch.
+      if (const std::optional<db::Update> candidate =
+              OnDemandCandidate(object)) {
+        remote_job_.apply = true;
+        remote_job_.candidate = *candidate;
+        cost += config_.x_update +
+                QueueOpCostInstructions(update_queue_.size());
       }
     }
   }
-  remote_job_.cost_instructions = cost;
-  cpu_owner_ = CpuOwner::kRemote;
+  SystemObserver::DispatchInfo dispatch;
+  dispatch.kind = SystemObserver::DispatchKind::kRemoteService;
+  dispatch.remote = &remote_job_.read;
   // The service runs in the update process's context.
-  double extra = 0;
-  if (last_process_ != kUpdaterProcess && last_process_ != kNoProcess) {
-    extra = config_.x_switch;
-  }
-  last_process_ = kUpdaterProcess;
-  segment_start_ = simulator_->now();
-  segment_extra_instructions_ = extra;
-  segment_is_update_work_ = false;
-  segment_is_remote_work_ = true;
-  segment_ips_ = EffectiveIps();
-  if (!bus_.empty()) {
-    bus_.NotifyDispatch(simulator_->now(), CurrentDispatchInfo());
-  }
-  completion_ = simulator_->ScheduleAfter(
-      sim::InstructionsToSeconds(cost + extra, segment_ips_),
-      [this] { OnRemoteServiceComplete(); });
+  BeginSegment(CpuOwner::kRemote, dispatch, cost,
+               SwitchCharge(kUpdaterProcess), /*update_work=*/false);
 }
 
 void System::OnRemoteServiceComplete() {
-  STRIP_CHECK(cpu_owner_ == CpuOwner::kRemote);
-  if (!bus_.empty()) {
-    bus_.NotifySegmentComplete(simulator_->now(), CurrentDispatchInfo());
-  }
-  ChargeSegmentCpu();
-  segment_is_remote_work_ = false;
-  const RemoteJob job = remote_job_;
-  remote_job_ = RemoteJob{};
   cpu_owner_ = CpuOwner::kIdle;
-  RemoteRead reply = job.read;
-  if (job.apply) {
-    const bool removed = update_queue_.Remove(job.candidate);
-    STRIP_CHECK(removed);
-    tracker_.OnRemovedFromQueue(job.candidate);
-    NoteUqLength();
-    InstallNow(job.candidate);
+  RemoteRead reply = remote_job_.read;
+  if (remote_job_.apply) {
+    InstallFromQueue(remote_job_.candidate, /*on_demand_by=*/nullptr);
     ++metrics_.remote_heals;
     reply.healed = true;
   }
@@ -1238,11 +1192,10 @@ void System::OnRemoteServiceComplete() {
   // Under the MA family the peer's timestamp check detects staleness
   // for free; under UU only a performed scan counts as detection.
   reply.detected =
-      db::DetectableByTimestamp(config_.staleness) || job.scan_planned;
+      db::DetectableByTimestamp(config_.staleness) || remote_job_.scan_planned;
   ++metrics_.remote_reads_served;
-  if (!bus_.empty()) {
-    bus_.NotifyShardRemoteServiced(simulator_->now(), reply);
-  }
+  bus_.Notify(&SystemObserver::OnShardRemoteServiced, simulator_->now(),
+              reply);
   shard_link_.send_reply(reply);
   // The reply can loop back synchronously: the home shard may resume
   // its transaction, reach another cross-shard read, and post it to
@@ -1260,19 +1213,14 @@ void System::ReceiveRemoteReply(const RemoteRead& read) {
   const bool txn_live = remote_waiting_ != nullptr &&
                         remote_waiting_->id() == read.txn_id &&
                         remote_inflight_.request_id == read.request_id;
-  if (!bus_.empty()) {
-    bus_.NotifyShardRemoteResolved(simulator_->now(), read, txn_live);
-  }
+  bus_.Notify(&SystemObserver::OnShardRemoteResolved, simulator_->now(), read,
+              txn_live);
   if (!txn_live) {
     // The firm deadline fired during the wait; the reply has no home.
     ++metrics_.remote_replies_orphaned;
     return;
   }
-  CancelRemoteTimer();
-  txn::Transaction* t = remote_waiting_;
-  remote_waiting_ = nullptr;
-  metrics_.remote_wait_seconds +=
-      simulator_->now() - std::max(remote_wait_start_, observation_start_);
+  txn::Transaction* t = ReleaseRemoteHold(simulator_->now());
   t->CompleteStep();
   if (read.stale) {
     ++metrics_.remote_stale_replies;
@@ -1288,15 +1236,7 @@ void System::ReceiveRemoteReply(const RemoteRead& read) {
       return;
     }
   }
-  if (t->finished()) {
-    Commit(t);
-    if (cpu_owner_ == CpuOwner::kIdle) ScheduleNext();
-    return;
-  }
-  // Resume on the CPU the transaction still holds; if a remote service
-  // segment occupies it right now, resume at the next settle point.
-  remote_resume_ = t;
-  if (cpu_owner_ == CpuOwner::kIdle) ScheduleNext();
+  ResumeOrCommit(t);
 }
 
 void System::ArmRemoteTimer() {
@@ -1328,39 +1268,26 @@ void System::OnRemoteTimeout() {
       remote_timeout_current_ * config_.remote_retry_backoff;
   if (remote_attempt_ <= config_.remote_retry_max &&
       simulator_->now() + next_timeout <= t->deadline()) {
-    if (!bus_.empty()) {
-      bus_.NotifyRemoteTimeout(simulator_->now(), remote_inflight_,
-                               remote_attempt_, /*will_retry=*/true);
-      bus_.NotifyPolicyDecision(simulator_->now(), config_.policy,
-                                SystemObserver::SchedulerChoice::kRemoteRetry,
-                                "remote-timeout");
-    }
+    bus_.Notify(&SystemObserver::OnRemoteTimeout, simulator_->now(),
+                remote_inflight_, remote_attempt_, /*will_retry=*/true);
+    bus_.Notify(&SystemObserver::OnPolicyDecision, simulator_->now(),
+                config_.policy, SystemObserver::SchedulerChoice::kRemoteRetry,
+                "remote-timeout");
     ++metrics_.remote_retries;
+    ++remote_attempt_;
     // Re-issue under a fresh request id: the census tracks each issue
     // separately, and a late reply to the old id resolves as orphaned.
     RemoteRead read = remote_inflight_;
     read.request_id = shard_link_.next_request_id();
-    remote_inflight_ = read;
-    ++remote_attempt_;
-    ++metrics_.remote_reads_issued;
-    if (!bus_.empty()) {
-      bus_.NotifyShardRemoteIssued(simulator_->now(), read);
-    }
-    ArmRemoteTimer();
-    shard_link_.send_request(read);
-    if (cpu_owner_ == CpuOwner::kIdle) ScheduleNext();
+    IssueRemoteRead(read);
     return;
   }
   // Budget exhausted: the peer is unreachable as far as this
   // transaction is concerned. Release the hold and fall back.
   ++metrics_.remote_timeouts;
-  if (!bus_.empty()) {
-    bus_.NotifyRemoteTimeout(simulator_->now(), remote_inflight_,
-                             remote_attempt_, /*will_retry=*/false);
-  }
-  remote_waiting_ = nullptr;
-  metrics_.remote_wait_seconds +=
-      simulator_->now() - std::max(remote_wait_start_, observation_start_);
+  bus_.Notify(&SystemObserver::OnRemoteTimeout, simulator_->now(),
+              remote_inflight_, remote_attempt_, /*will_retry=*/false);
+  ReleaseRemoteHold(simulator_->now());
   if (config_.remote_fallback == RemoteFallback::kStale) {
     // Degraded-mode read: proceed on the locally cached last-installed
     // value. By construction it may be arbitrarily old, so it counts
@@ -1368,93 +1295,22 @@ void System::OnRemoteTimeout() {
     // abort-on-stale (the whole point of the fallback is to commit
     // something rather than nothing).
     ++metrics_.remote_degraded_reads;
-    if (!bus_.empty()) {
-      bus_.NotifyDegradedRead(simulator_->now(), remote_inflight_);
-      bus_.NotifyPolicyDecision(
-          simulator_->now(), config_.policy,
-          SystemObserver::SchedulerChoice::kRemoteDegrade,
-          "retries-exhausted");
-    }
+    bus_.Notify(&SystemObserver::OnDegradedRead, simulator_->now(),
+                remote_inflight_);
+    bus_.Notify(&SystemObserver::OnPolicyDecision, simulator_->now(),
+                config_.policy,
+                SystemObserver::SchedulerChoice::kRemoteDegrade,
+                "retries-exhausted");
     t->MarkStaleRead();
     t->CompleteStep();
-    if (t->finished()) {
-      Commit(t);
-      if (cpu_owner_ == CpuOwner::kIdle) ScheduleNext();
-      return;
-    }
-    remote_resume_ = t;
-    if (cpu_owner_ == CpuOwner::kIdle) ScheduleNext();
+    ResumeOrCommit(t);
     return;
   }
-  if (!bus_.empty()) {
-    bus_.NotifyPolicyDecision(simulator_->now(), config_.policy,
-                              SystemObserver::SchedulerChoice::kRemoteAbort,
-                              "retries-exhausted");
-  }
+  bus_.Notify(&SystemObserver::OnPolicyDecision, simulator_->now(),
+              config_.policy, SystemObserver::SchedulerChoice::kRemoteAbort,
+              "retries-exhausted");
   Terminate(t, txn::TxnOutcome::kRemoteUnavailable);
   if (cpu_owner_ == CpuOwner::kIdle) ScheduleNext();
-}
-
-void System::Commit(txn::Transaction* transaction) {
-  transaction->set_outcome(txn::TxnOutcome::kCommitted);
-  transaction->set_completion_time(simulator_->now());
-  if (!bus_.empty()) {
-    bus_.NotifyTransactionTerminal(simulator_->now(), *transaction);
-  }
-  ++metrics_.txns_committed;
-  ++metrics_.txns_committed_by_class[static_cast<int>(transaction->cls())];
-  metrics_.value_committed_by_class[static_cast<int>(transaction->cls())] +=
-      transaction->value();
-  response_times_.Add(simulator_->now() - transaction->arrival_time());
-  if (transaction->read_stale_data()) {
-    ++metrics_.txns_committed_stale;
-  } else {
-    ++metrics_.txns_committed_fresh;
-  }
-  metrics_.value_committed += transaction->value();
-  auto it = live_txns_.find(transaction->id());
-  STRIP_CHECK(it != live_txns_.end());
-  simulator_->Cancel(it->second.deadline_event);
-  live_txns_.erase(it);
-}
-
-void System::Terminate(txn::Transaction* transaction,
-                       txn::TxnOutcome outcome) {
-  transaction->set_outcome(outcome);
-  transaction->set_completion_time(simulator_->now());
-  if (!bus_.empty()) {
-    bus_.NotifyTransactionTerminal(simulator_->now(), *transaction);
-  }
-  switch (outcome) {
-    case txn::TxnOutcome::kMissedDeadline:
-    case txn::TxnOutcome::kInfeasible:
-      if (outcome == txn::TxnOutcome::kMissedDeadline) {
-        ++metrics_.txns_missed_deadline;
-      } else {
-        ++metrics_.txns_infeasible;
-      }
-      // Attribute the miss to the fault if one is active or an outage
-      // recovery is still pending.
-      if (fault_windows_active_ > 0 || outage_recovering_) {
-        ++metrics_.txns_missed_in_fault;
-      }
-      break;
-    case txn::TxnOutcome::kStaleAbort:
-      ++metrics_.txns_stale_aborted;
-      break;
-    case txn::TxnOutcome::kRemoteUnavailable:
-      ++metrics_.txns_remote_unavailable;
-      if (fault_windows_active_ > 0 || outage_recovering_) {
-        ++metrics_.txns_missed_in_fault;
-      }
-      break;
-    default:
-      STRIP_CHECK_MSG(false, "Terminate with non-terminal outcome");
-  }
-  auto it = live_txns_.find(transaction->id());
-  STRIP_CHECK(it != live_txns_.end());
-  simulator_->Cancel(it->second.deadline_event);
-  live_txns_.erase(it);
 }
 
 // --- fault handling ----------------------------------------------------------
@@ -1487,14 +1343,8 @@ void System::OnFaultWindowBoundary(const fault::FaultWindow& window,
   }
   SampleStaleExcursion();
   if (!bus_.empty()) {
-    SystemObserver::FaultWindowInfo info;
-    info.kind = fault::FaultKindName(window.kind);
-    info.label = window.label.c_str();
-    info.begin = begin;
-    info.start = window.start;
-    info.end = window.end();
-    if (sharded_) info.shard = shard_link_.shard_id.value();
-    bus_.NotifyFaultWindow(simulator_->now(), info);
+    bus_.Notify(&SystemObserver::OnFaultWindow, simulator_->now(),
+                MakeFaultWindowInfo(window, begin));
   }
 }
 
@@ -1505,21 +1355,23 @@ void System::OnClusterFaultBoundary(const fault::FaultWindow& window,
   // this shard's own fault_windows counter — the cluster-level
   // partition metrics own these windows, and summing per-shard
   // counters across the cluster must not multiply-count them.
-  if (begin) {
-    ++fault_windows_active_;
-  } else {
-    --fault_windows_active_;
-  }
+  fault_windows_active_ += begin ? 1 : -1;
   if (!bus_.empty()) {
-    SystemObserver::FaultWindowInfo info;
-    info.kind = fault::FaultKindName(window.kind);
-    info.label = window.label.c_str();
-    info.begin = begin;
-    info.start = window.start;
-    info.end = window.end();
-    info.shard = shard_link_.shard_id.value();
-    bus_.NotifyFaultWindow(simulator_->now(), info);
+    bus_.Notify(&SystemObserver::OnFaultWindow, simulator_->now(),
+                MakeFaultWindowInfo(window, begin));
   }
+}
+
+SystemObserver::FaultWindowInfo System::MakeFaultWindowInfo(
+    const fault::FaultWindow& window, bool begin) const {
+  SystemObserver::FaultWindowInfo info;
+  info.kind = fault::FaultKindName(window.kind);
+  info.label = window.label.c_str();
+  info.begin = begin;
+  info.start = window.start;
+  info.end = window.end();
+  if (sharded_) info.shard = shard_link_.shard_id.value();
+  return info;
 }
 
 void System::SampleStaleExcursion() {
@@ -1555,11 +1407,9 @@ void System::MaybeToggleGovernor() {
     governor_engaged_ = true;
     governor_engage_time_ = simulator_->now();
     ++metrics_.governor_engagements;
-    if (!bus_.empty()) {
-      bus_.NotifyPolicyDecision(
-          simulator_->now(), config_.policy,
-          SystemObserver::SchedulerChoice::kGovernorEngage, reason);
-    }
+    bus_.Notify(&SystemObserver::OnPolicyDecision, simulator_->now(),
+                config_.policy,
+                SystemObserver::SchedulerChoice::kGovernorEngage, reason);
     return;
   }
   // Hysteresis: disengage only once the depth has drained past the low
@@ -1573,11 +1423,10 @@ void System::MaybeToggleGovernor() {
   metrics_.governor_engaged_seconds +=
       simulator_->now() -
       std::max(governor_engage_time_, observation_start_);
-  if (!bus_.empty()) {
-    bus_.NotifyPolicyDecision(
-        simulator_->now(), config_.policy,
-        SystemObserver::SchedulerChoice::kGovernorDisengage, "recovered");
-  }
+  bus_.Notify(&SystemObserver::OnPolicyDecision, simulator_->now(),
+              config_.policy,
+              SystemObserver::SchedulerChoice::kGovernorDisengage,
+              "recovered");
 }
 
 }  // namespace strip::core

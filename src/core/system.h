@@ -28,6 +28,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "base/strong_types.h"
@@ -189,21 +190,17 @@ class System {
   sim::Duration CpuUpdateSecondsNow() const;
 
  private:
-  friend class Cluster;  // drives Finalize for sliced/halted runs
+  friend class Cluster;  // finalizes its shards (FinalizeAll)
 
   enum class CpuOwner { kIdle, kTxn, kUpdater, kRemote };
 
-  // One unit of update-process work.
+  // One unit of update-process work: a transfer (OS queue head ->
+  // update queue), or an install from the OS queue (UF, SU-high) or
+  // from the update queue.
   struct UpdaterJob {
-    enum class Kind {
-      kNone,
-      kTransferToQueue,  // OS queue head -> update queue
-      kInstallFromOs,    // OS queue head -> database (UF, SU-high)
-      kInstallFromUq,    // update queue (FIFO/LIFO) -> database
-    };
-    Kind kind = Kind::kNone;
+    SystemObserver::DispatchKind kind =
+        SystemObserver::DispatchKind::kUpdaterTransfer;
     db::Update update;
-    bool worthy = false;
     double cost_instructions = 0;
   };
 
@@ -220,7 +217,6 @@ class System {
     bool scan_planned = false;  // OD queue scan folded into the segment
     bool apply = false;         // a usable queued update will be installed
     db::Update candidate;       // the update to install when `apply`
-    double cost_instructions = 0;
   };
 
   // --- arrival handlers -----------------------------------------------------
@@ -232,6 +228,31 @@ class System {
   // Decides what runs next. Precondition: the CPU is idle.
   void ScheduleNext();
   UpdaterContext MakeUpdaterContext() const;
+
+  // --- CPU segments ----------------------------------------------------------
+  // Every unit of CPU work — an updater job, a transaction step, a
+  // remote service — is one segment with the same life: BeginSegment
+  // dispatches it, and it either runs to EndSegment or (a transaction
+  // step only) is cut short by CutSegmentShort.
+  //
+  // Puts `dispatch` on the CPU for `owner`: `work_instructions` of the
+  // activity plus `extra_instructions` of switch, receive and stall
+  // charges. `update_work` charges the segment's CPU time to the update
+  // process (updater jobs and OD scan/apply steps).
+  void BeginSegment(CpuOwner owner,
+                    const SystemObserver::DispatchInfo& dispatch,
+                    double work_instructions, double extra_instructions,
+                    bool update_work);
+  // The completion event: settles the segment and hands the CPU back to
+  // its owner's continuation.
+  void EndSegment();
+  // The firm deadline or a preemption takes the running transaction
+  // off the CPU mid-segment: charges the CPU time used and the part of
+  // the step executed, and cancels the completion event.
+  void CutSegmentShort();
+  // The x_switch charge for giving the CPU to `process`, which becomes
+  // the last process to have held it.
+  double SwitchCharge(std::uint64_t process);
 
   // --- update process --------------------------------------------------------
   // Starts one updater job. `preempting` means an arrival just
@@ -246,6 +267,10 @@ class System {
   // install (OD), or nullptr for an ordinary update-process install.
   void InstallNow(const db::Update& update,
                   const txn::Transaction* on_demand_by = nullptr);
+  // Takes a queued `update` out of the update queue and installs it
+  // (an on-demand install for a local or a peer's read).
+  void InstallFromQueue(const db::Update& update,
+                        const txn::Transaction* on_demand_by);
   // Dedup extension: discards queued updates `update` supersedes.
   // Returns false if `update` itself is superseded (and dropped).
   bool DedupAgainstQueue(const db::Update& update);
@@ -262,8 +287,9 @@ class System {
 
   // --- transaction processes ---------------------------------------------------
   void StartTxnSegment(txn::Transaction* transaction);
-  // Schedules the running transaction's current step on the CPU;
-  // `extra_instructions` carries context-switch charges.
+  // Schedules the running transaction's current step on the CPU, or
+  // commits it when no step is left; `extra_instructions` carries
+  // context-switch charges.
   void ScheduleTxnStep(double extra_instructions);
   void OnTxnSegmentComplete();
   void HandleViewRead(txn::Transaction* transaction, db::ObjectId object);
@@ -277,30 +303,33 @@ class System {
   // the OD path already fired it at detection time.
   bool RecordStaleRead(txn::Transaction* transaction, db::ObjectId object,
                        bool detected = true, bool notify = true);
-  // Can the transaction absorb `extra_instructions` of unplanned work
-  // (an OD queue search) and still meet its deadline?
-  bool CanAffordExtraWork(const txn::Transaction& transaction,
-                          double extra_instructions) const;
+  // Can `instructions` more of work run and still finish by `deadline`?
+  // Always true unless config.feasible_deadline screens doomed work
+  // (an OD queue search, locally or for a peer's read).
+  bool FitsBeforeDeadline(double instructions, sim::Time deadline) const;
   // Would installing `update` leave its object fresh under the active
   // criterion?
   bool UpdateCouldFreshen(const db::Update& update) const;
+  // The queued update an on-demand read of `object` would install: the
+  // object's newest queued update, if it is worthy and could freshen
+  // the object; nullopt otherwise.
+  std::optional<db::Update> OnDemandCandidate(db::ObjectId object) const;
   // Moves the running transaction back to the ready queue; `reason`
   // feeds the OnPreempt observer hook.
   void PreemptRunningTxn(SystemObserver::PreemptReason reason);
-  // The DispatchInfo describing the segment currently on the CPU
-  // (observer hooks; call only while the CPU is busy).
-  SystemObserver::DispatchInfo CurrentDispatchInfo() const;
-  void Commit(txn::Transaction* transaction);
-  // Removes a transaction from the system with the given outcome.
+  // Releases the CPU the running transaction holds and returns it.
+  txn::Transaction* TakeRunningTxn();
+  // The running transaction leaves the system with `outcome`, and the
+  // scheduler picks the CPU's next work.
+  void ExitRunningTxn(txn::TxnOutcome outcome);
+  // The one exit: removes a transaction from the system with the given
+  // terminal outcome (commit included), settling its metrics.
   void Terminate(txn::Transaction* transaction, txn::TxnOutcome outcome);
 
   // --- accounting --------------------------------------------------------------
   // Charges the CPU interval [segment_start_, now] to the right bucket
   // (clamped to the observation window).
   void ChargeSegmentCpu();
-  // Instructions left in the transaction's current step (preemption /
-  // deadline clamp).
-  double RemainingOfCurrentStep(const txn::Transaction& t) const;
   double ScanCostInstructions() const;
   double QueueOpCostInstructions(std::size_t queue_size_after) const;
   // Disk-residence extension: draws a buffer-pool outcome for one
@@ -317,6 +346,15 @@ class System {
   // named by `step.owner_shard`.
   void EnterRemoteWait(txn::Transaction* transaction,
                        const txn::Transaction::NextStep& step);
+  // Sends `read` (a first issue or a retry) as the parked
+  // transaction's in-flight request.
+  void IssueRemoteRead(const RemoteRead& read);
+  // Ends the two-phase hold at `end`: cancels the timer, counts the
+  // wait, and returns the transaction that was parked.
+  txn::Transaction* ReleaseRemoteHold(sim::Time end);
+  // A transaction back from a remote read commits if that was its last
+  // step, or else resumes on its held CPU at the next settle point.
+  void ResumeOrCommit(txn::Transaction* transaction);
   // Timeout/retry/fallback for the in-flight remote read (armed only
   // when config.remote_timeout_s > 0; see the knobs in core/config.h).
   void ArmRemoteTimer();
@@ -348,6 +386,9 @@ class System {
   // cluster-level counters (partition_windows, partition_seconds) own
   // those windows.
   void OnClusterFaultBoundary(const fault::FaultWindow& window, bool begin);
+  // What observers see of a fault-window boundary on this shard.
+  SystemObserver::FaultWindowInfo MakeFaultWindowInfo(
+      const fault::FaultWindow& window, bool begin) const;
   // Tracks the staleness excursion and the time-to-fresh recovery
   // clock while faults are active or an outage recovery is pending.
   void SampleStaleExcursion();
@@ -403,7 +444,13 @@ class System {
   // Switch/receive charge embedded at the front of the current segment
   // (not part of the activity's own work).
   double segment_extra_instructions_ = 0;
+  // The CPU-time bucket, set at dispatch: update work (updater jobs, OD
+  // scan/apply steps), else transaction work — or remote service, when
+  // cpu_owner_ is kRemote.
   bool segment_is_update_work_ = false;
+  // The segment on the CPU as observers see it at dispatch and
+  // completion.
+  SystemObserver::DispatchInfo dispatch_;
   // Last process that held the CPU, for x_switch charging:
   // 0 = none, 1 = the update process, txn id + 1 otherwise.
   std::uint64_t last_process_ = 0;
@@ -420,7 +467,6 @@ class System {
   // Reply arrived while the CPU was busy servicing a peer: resume this
   // transaction at the next settle point.
   txn::Transaction* remote_resume_ = nullptr;
-  bool segment_is_remote_work_ = false;
   // Timeout/retry state for the read remote_waiting_ is parked on. The
   // in-flight copy keeps the *current* request id: a reply for an
   // earlier (timed-out, re-issued) request resolves as orphaned.

@@ -81,18 +81,6 @@ core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed) {
   return RunOnce(OneShard(config), seed);
 }
 
-core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed,
-                         const RunHook& hook, const RunContext& context) {
-  return RunOnce(OneShard(config), seed, ShardZeroHook(hook), context);
-}
-
-core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed,
-                         const RunHook& hook, const RunContext& context,
-                         const RunBudget& budget, bool* timed_out) {
-  return RunOnce(OneShard(config), seed, ShardZeroHook(hook), context, budget,
-                 timed_out);
-}
-
 core::RunMetrics RunOnce(const core::ShardedConfig& config,
                          std::uint64_t seed) {
   return RunOnce(config, seed, nullptr, RunContext{});
@@ -119,14 +107,6 @@ std::vector<core::RunMetrics> Replicate(const core::Config& config,
                                         int replications,
                                         std::uint64_t base_seed) {
   return Replicate(OneShard(config), replications, base_seed, nullptr);
-}
-
-std::vector<core::RunMetrics> Replicate(const core::Config& config,
-                                        int replications,
-                                        std::uint64_t base_seed,
-                                        const RunHook& hook) {
-  return Replicate(OneShard(config), replications, base_seed,
-                   ShardZeroHook(hook));
 }
 
 std::vector<core::RunMetrics> Replicate(const core::ShardedConfig& config,

@@ -61,14 +61,14 @@ struct RunContext {
 // System is still alive.
 using RunFinisher = std::function<void(const core::RunMetrics&)>;
 
-// Observation hook for a uniprocessor run: called with the freshly
-// wired System (the one shard of the run's Cluster) before Run() —
-// attach observers (telemetry, trace writers) here; they must stay
-// alive for the run, e.g. owned by the returned finisher. The returned
-// finisher (may be null) runs after Run() with the run's metrics.
-// Never called for multi-shard runs. Sweeps call hooks concurrently
-// from worker threads; hooks must not share mutable state across runs
-// without synchronization.
+// Observation hook for a one-shard sweep cell (SweepSpec::on_run):
+// called with the freshly wired System (the one shard of the run's
+// Cluster) before Run() — attach observers (telemetry, trace writers)
+// here; they must stay alive for the run, e.g. owned by the returned
+// finisher. The returned finisher (may be null) runs after Run() with
+// the run's metrics. Never called for multi-shard runs. Sweeps call
+// hooks concurrently from worker threads; hooks must not share mutable
+// state across runs without synchronization.
 using RunHook =
     std::function<RunFinisher(core::System&, const RunContext&)>;
 
@@ -94,29 +94,20 @@ struct RunBudget {
   double slice_sim_seconds = 5.0;
 };
 
-// Runs one configuration to completion with one seed. Every run is a
-// core::Cluster run: the core::Config overloads run a one-shard
-// Cluster on `config` (seed- and metric-identical to a bare System)
-// and hand its System to the hook. The optional hook observes the run
-// (see RunHook).
+// Runs one configuration to completion with one seed and returns the
+// aggregate metrics. Every run is a core::Cluster run; the core::Config
+// overload runs a one-shard Cluster on `config` (seed- and
+// metric-identical to a bare System). The optional hook observes the
+// run (see ClusterRunHook).
 core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed);
-core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed,
-                         const RunHook& hook, const RunContext& context);
-// Budgeted variant: on wall-clock overrun the run is cut short
-// (metrics cover the simulated time actually reached) and *timed_out
-// (optional) is set.
-core::RunMetrics RunOnce(const core::Config& config, std::uint64_t seed,
-                         const RunHook& hook, const RunContext& context,
-                         const RunBudget& budget, bool* timed_out);
-
-// Cluster equivalents, returning the aggregate metrics. With
-// config.shards == 1 the run is identical to the core::Config
-// overloads on config.base.
 core::RunMetrics RunOnce(const core::ShardedConfig& config,
                          std::uint64_t seed);
 core::RunMetrics RunOnce(const core::ShardedConfig& config,
                          std::uint64_t seed, const ClusterRunHook& hook,
                          const RunContext& context);
+// Budgeted variant: on wall-clock overrun the run is cut short
+// (metrics cover the simulated time actually reached) and *timed_out
+// (optional) is set.
 core::RunMetrics RunOnce(const core::ShardedConfig& config,
                          std::uint64_t seed, const ClusterRunHook& hook,
                          const RunContext& context, const RunBudget& budget,
@@ -127,10 +118,6 @@ core::RunMetrics RunOnce(const core::ShardedConfig& config,
 std::vector<core::RunMetrics> Replicate(const core::Config& config,
                                         int replications,
                                         std::uint64_t base_seed);
-std::vector<core::RunMetrics> Replicate(const core::Config& config,
-                                        int replications,
-                                        std::uint64_t base_seed,
-                                        const RunHook& hook);
 std::vector<core::RunMetrics> Replicate(const core::ShardedConfig& config,
                                         int replications,
                                         std::uint64_t base_seed);

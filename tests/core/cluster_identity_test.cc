@@ -98,6 +98,68 @@ TEST(ClusterIdentityTest, SingleShardSliceAndHaltMatchSystem) {
   EXPECT_EQ(direct.ToString(), cluster.metrics().ToString());
 }
 
+TEST(ClusterIdentityTest, SingleShardHaltEarlyMatchesSystem) {
+  const Config config =
+      BaselineConfig(PolicyKind::kOnDemand, db::StalenessCriterion::kMaxAge);
+
+  sim::Simulator direct_sim;
+  System system(&direct_sim, config, base::RngSeed(/*seed=*/3));
+  ShardedConfig sharded;
+  sharded.base = config;
+  sim::Simulator cluster_sim;
+  Cluster cluster(&cluster_sim, sharded, base::RngSeed(/*seed=*/3));
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_FALSE(system.RunSlice(1.5));
+    ASSERT_FALSE(cluster.RunSlice(1.5));
+  }
+  const RunMetrics direct = system.HaltEarly();
+  const RunMetrics halted = cluster.HaltEarly();
+  EXPECT_EQ(direct.observed_seconds, 7.5);
+  EXPECT_EQ(direct.ToString(), halted.ToString());
+  EXPECT_EQ(cluster.shard_metrics(0).ToString(), halted.ToString());
+}
+
+// Halting a run at T finalizes it exactly as a run whose horizon is T.
+// At three shards T is the first slice boundary at which a shard holds
+// a parked remote read, so the halt has to release it.
+TEST(ClusterIdentityTest, HaltAtTMatchesRunOfLengthT) {
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE(shards);
+    ShardedConfig sharded;
+    sharded.base =
+        BaselineConfig(PolicyKind::kOnDemand, db::StalenessCriterion::kMaxAge);
+    sharded.shards = shards;
+
+    sim::Simulator halt_sim;
+    Cluster halted(&halt_sim, sharded, base::RngSeed(/*seed=*/3));
+    if (shards == 1) {
+      for (int i = 0; i < 5; ++i) ASSERT_FALSE(halted.RunSlice(1.5));
+      EXPECT_EQ(halt_sim.now(), 7.5);
+    } else {
+      bool parked = false;
+      while (!parked) {
+        ASSERT_FALSE(halted.RunSlice(0.01));
+        for (int s = 0; s < shards; ++s) {
+          parked = parked || halted.shard(s).remote_waiting();
+        }
+      }
+    }
+    const sim::Time halt_at = halt_sim.now();
+    const RunMetrics at_halt = halted.HaltEarly();
+
+    sharded.base.sim_seconds = halt_at;
+    sim::Simulator run_sim;
+    Cluster whole(&run_sim, sharded, base::RngSeed(/*seed=*/3));
+    const RunMetrics run_to_t = whole.Run();
+
+    EXPECT_EQ(at_halt.ToString(), run_to_t.ToString());
+    for (int s = 0; s < shards; ++s) {
+      EXPECT_EQ(halted.shard_metrics(s).ToString(),
+                whole.shard_metrics(s).ToString());
+    }
+  }
+}
+
 TEST(ClusterIdentityTest, ShardedSliceMatchesShardedRun) {
   ShardedConfig sharded;
   sharded.base =

@@ -97,7 +97,7 @@ TEST(ObserverBusTest, NotifiesInRegistrationOrder) {
   bus.Add(&c);
   EXPECT_EQ(bus.size(), 3u);
 
-  bus.NotifyPhase(1.0, SystemObserver::Phase::kWarmupEnd);
+  bus.Notify(&SystemObserver::OnPhase, 1.0, SystemObserver::Phase::kWarmupEnd);
   EXPECT_EQ(log, (std::vector<std::string>{
                      "a:warmup_end", "b:warmup_end", "c:warmup_end"}));
 }
@@ -127,12 +127,12 @@ TEST(ObserverBusTest, RemoveDuringDispatchSkipsLaterObserver) {
 
   // The victim sits after the remover, so it must not hear the event
   // that removed it.
-  bus.NotifyPhase(1.0, SystemObserver::Phase::kRunEnd);
+  bus.Notify(&SystemObserver::OnPhase, 1.0, SystemObserver::Phase::kRunEnd);
   EXPECT_EQ(log, std::vector<std::string>{"r:run_end"});
   EXPECT_EQ(bus.size(), 1u);
 
   // Later events reach only the survivor.
-  bus.NotifyPhase(2.0, SystemObserver::Phase::kRunEnd);
+  bus.Notify(&SystemObserver::OnPhase, 2.0, SystemObserver::Phase::kRunEnd);
   EXPECT_EQ(remover.events(), 2);
   EXPECT_EQ(victim.events(), 0);
 }
@@ -146,12 +146,12 @@ TEST(ObserverBusTest, RemoveSelfDuringDispatchKeepsOthersRunning) {
   bus.Add(&after);
   remover.set_victim(&remover);
 
-  bus.NotifyPhase(1.0, SystemObserver::Phase::kWarmupEnd);
+  bus.Notify(&SystemObserver::OnPhase, 1.0, SystemObserver::Phase::kWarmupEnd);
   // The remover heard the event, removed itself, and the walk continued.
   EXPECT_EQ(log, (std::vector<std::string>{"r:warmup_end", "a:warmup_end"}));
   EXPECT_EQ(bus.size(), 1u);
 
-  bus.NotifyPhase(2.0, SystemObserver::Phase::kWarmupEnd);
+  bus.Notify(&SystemObserver::OnPhase, 2.0, SystemObserver::Phase::kWarmupEnd);
   EXPECT_EQ(remover.events(), 1);
   EXPECT_EQ(after.events(), 2);
 }
@@ -163,12 +163,12 @@ TEST(ObserverBusTest, AddDuringDispatchHearsNextEventOnly) {
   AddingObserver adder("a", &log, &bus, &recruit);
   bus.Add(&adder);
 
-  bus.NotifyPhase(1.0, SystemObserver::Phase::kWarmupEnd);
+  bus.Notify(&SystemObserver::OnPhase, 1.0, SystemObserver::Phase::kWarmupEnd);
   // The recruit was added mid-dispatch and must not hear that event.
   EXPECT_EQ(log, std::vector<std::string>{"a:warmup_end"});
   EXPECT_EQ(bus.size(), 2u);
 
-  bus.NotifyPhase(2.0, SystemObserver::Phase::kRunEnd);
+  bus.Notify(&SystemObserver::OnPhase, 2.0, SystemObserver::Phase::kRunEnd);
   EXPECT_EQ(log, (std::vector<std::string>{"a:warmup_end", "a:run_end",
                                            "n:run_end"}));
 }
@@ -180,10 +180,11 @@ TEST(ObserverBusTest, ScopedObserverDetachesOnScopeExit) {
   {
     ScopedObserver scoped(&bus, &a);
     EXPECT_EQ(bus.size(), 1u);
-    bus.NotifyPhase(1.0, SystemObserver::Phase::kWarmupEnd);
+    bus.Notify(&SystemObserver::OnPhase, 1.0,
+               SystemObserver::Phase::kWarmupEnd);
   }
   EXPECT_TRUE(bus.empty());
-  bus.NotifyPhase(2.0, SystemObserver::Phase::kRunEnd);
+  bus.Notify(&SystemObserver::OnPhase, 2.0, SystemObserver::Phase::kRunEnd);
   EXPECT_EQ(a.events(), 1);
 }
 
@@ -198,7 +199,8 @@ class NestingObserver : public TaggedObserver {
     TaggedObserver::OnPhase(now, phase);
     if (!fired_) {
       fired_ = true;
-      bus_->NotifyPhase(now, SystemObserver::Phase::kRunEnd);
+      bus_->Notify(&SystemObserver::OnPhase, now,
+                   SystemObserver::Phase::kRunEnd);
     }
   }
 
@@ -224,7 +226,7 @@ TEST(ObserverBusTest, RemoveInsideNestedDispatchSkipsOuterWalkToo) {
   // round — its slot is nulled in place, never erased, so the outer
   // walk's indexes stay aligned (the dispatch assertion enforces
   // this).
-  bus.NotifyPhase(1.0, SystemObserver::Phase::kWarmupEnd);
+  bus.Notify(&SystemObserver::OnPhase, 1.0, SystemObserver::Phase::kWarmupEnd);
   EXPECT_EQ(log, (std::vector<std::string>{"n:warmup_end", "n:run_end",
                                            "r:run_end", "r:warmup_end"}));
   EXPECT_EQ(victim.events(), 0);
@@ -232,7 +234,7 @@ TEST(ObserverBusTest, RemoveInsideNestedDispatchSkipsOuterWalkToo) {
 
   // The nulled slot was compacted when the outermost dispatch
   // unwound; later rounds reach only the survivors.
-  bus.NotifyPhase(2.0, SystemObserver::Phase::kRunEnd);
+  bus.Notify(&SystemObserver::OnPhase, 2.0, SystemObserver::Phase::kRunEnd);
   EXPECT_EQ(victim.events(), 0);
   EXPECT_EQ(remover.events(), 3);
 }

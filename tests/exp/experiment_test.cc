@@ -217,8 +217,9 @@ TEST(SweepTest, UnbudgetedRunMatchesBudgetedWithRoomToSpare) {
 }
 
 TEST(RunOnceTest, BudgetTimeoutHaltsEarly) {
-  core::Config config = QuickConfig();
-  config.sim_seconds = 10000.0;  // far more than the budget allows
+  core::ShardedConfig config;
+  config.base = QuickConfig();
+  config.base.sim_seconds = 10000.0;  // far more than the budget allows
   RunBudget budget;
   budget.wall_seconds = 0.05;
   budget.slice_sim_seconds = 1.0;
@@ -226,7 +227,7 @@ TEST(RunOnceTest, BudgetTimeoutHaltsEarly) {
   const core::RunMetrics m =
       RunOnce(config, 1, nullptr, {}, budget, &timed_out);
   EXPECT_TRUE(timed_out);
-  EXPECT_LT(m.observed_seconds, config.sim_seconds);
+  EXPECT_LT(m.observed_seconds, config.base.sim_seconds);
   EXPECT_GT(m.observed_seconds, 0.0);
 }
 

@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cluster.h"
+#include "core/sharded_config.h"
 #include "core/system.h"
 #include "exp/experiment.h"
 #include "obs/trace/chrome_trace.h"
@@ -51,15 +53,18 @@ core::Config GoldenConfig() {
 
 std::string ProduceTrace(const core::Config& config, std::uint64_t seed) {
   std::ostringstream out;
-  exp::RunHook hook = [&out](core::System& system,
-                             const exp::RunContext&) -> exp::RunFinisher {
+  exp::ClusterRunHook hook = [&out](core::Cluster& cluster,
+                                    const exp::RunContext&)
+      -> exp::RunFinisher {
     auto trace = std::make_shared<ChromeTraceWriter>(&out);
-    system.AddObserver(trace.get());
+    cluster.shard(0).AddObserver(trace.get());
     return [trace](const core::RunMetrics&) { trace->Finish(); };
   };
   exp::RunContext context;
   context.seed = seed;
-  exp::RunOnce(config, seed, hook, context);
+  core::ShardedConfig sharded;
+  sharded.base = config;
+  exp::RunOnce(sharded, seed, hook, context);
   return out.str();
 }
 

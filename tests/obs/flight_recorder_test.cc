@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cluster.h"
+#include "core/sharded_config.h"
 #include "core/system.h"
 #include "exp/experiment.h"
 #include "obs/trace/flight_recorder.h"
@@ -275,18 +277,20 @@ std::string ProduceDump(const core::Config& config, std::uint64_t seed) {
   std::ostringstream out;
   FlightRecorderOptions options;
   options.capacity = 256;
-  exp::RunHook hook = [&out, options](
-                          core::System& system,
-                          const exp::RunContext&) -> exp::RunFinisher {
+  exp::ClusterRunHook hook = [&out, options](
+                                 core::Cluster& cluster,
+                                 const exp::RunContext&) -> exp::RunFinisher {
     auto recorder = std::make_shared<FlightRecorder>(options);
-    system.AddObserver(recorder.get());
+    cluster.shard(0).AddObserver(recorder.get());
     return [recorder, &out](const core::RunMetrics&) {
       recorder->DumpTo(out);
     };
   };
   exp::RunContext context;
   context.seed = seed;
-  exp::RunOnce(config, seed, hook, context);
+  core::ShardedConfig sharded;
+  sharded.base = config;
+  exp::RunOnce(sharded, seed, hook, context);
   return out.str();
 }
 

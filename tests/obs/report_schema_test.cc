@@ -135,19 +135,22 @@ std::string ProduceDocument(std::uint64_t seed) {
   config.sim_seconds = 5.0;
   config.warmup_seconds = 1.0;
   std::ostringstream out;
-  exp::RunHook hook = [&out](core::System& system,
-                             const exp::RunContext& context)
+  exp::ClusterRunHook hook = [&out](core::Cluster& cluster,
+                                    const exp::RunContext& context)
       -> exp::RunFinisher {
     RunTelemetry::Options options;
     options.seed = context.seed;
-    auto telemetry = std::make_shared<RunTelemetry>(&system, options);
+    auto telemetry =
+        std::make_shared<RunTelemetry>(&cluster.shard(0), options);
     return [telemetry, &out](const core::RunMetrics& metrics) {
       telemetry->WriteJson(out, metrics);
     };
   };
   exp::RunContext context;
   context.seed = seed;
-  exp::RunOnce(config, seed, hook, context);
+  core::ShardedConfig sharded;
+  sharded.base = config;
+  exp::RunOnce(sharded, seed, hook, context);
   return out.str();
 }
 

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cluster.h"
+#include "core/sharded_config.h"
 #include "core/system.h"
 #include "exp/experiment.h"
 #include "obs/telemetry.h"
@@ -38,19 +40,22 @@ core::Config GoldenConfig() {
 
 std::string ProduceDocument(const core::Config& config, std::uint64_t seed) {
   std::ostringstream out;
-  exp::RunHook hook = [&out](core::System& system,
-                             const exp::RunContext& context)
+  exp::ClusterRunHook hook = [&out](core::Cluster& cluster,
+                                    const exp::RunContext& context)
       -> exp::RunFinisher {
     RunTelemetry::Options options;
     options.seed = context.seed;
-    auto telemetry = std::make_shared<RunTelemetry>(&system, options);
+    auto telemetry =
+        std::make_shared<RunTelemetry>(&cluster.shard(0), options);
     return [telemetry, &out](const core::RunMetrics& metrics) {
       telemetry->WriteJson(out, metrics);
     };
   };
   exp::RunContext context;
   context.seed = seed;
-  exp::RunOnce(config, seed, hook, context);
+  core::ShardedConfig sharded;
+  sharded.base = config;
+  exp::RunOnce(sharded, seed, hook, context);
   return out.str();
 }
 

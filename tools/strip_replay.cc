@@ -64,6 +64,11 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "strip_replay: unknown flag %s\n", arg.c_str());
       return 2;
+    } else if (!trace_path.empty()) {
+      std::fprintf(stderr,
+                   "strip_replay: one trace file only, got %s and %s\n",
+                   trace_path.c_str(), arg.c_str());
+      return 2;
     } else {
       trace_path = arg;
     }
