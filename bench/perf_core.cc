@@ -117,12 +117,12 @@ BENCHMARK(BM_EventTimerChurn)->Arg(8192);
 // --- update queue ----------------------------------------------------------
 
 db::Update MakeUpdate(std::uint64_t id, double generation,
-                      sim::RandomStream& random) {
+                      sim::RandomStream& random, int per_class = 500) {
   db::Update u;
   u.id = base::UpdateId(id);
   u.object = {random.WithProbability(0.5) ? db::ObjectClass::kLowImportance
                                           : db::ObjectClass::kHighImportance,
-              random.UniformInt(0, 499)};
+              random.UniformInt(0, per_class - 1)};
   u.generation_time = generation;
   u.arrival_time = generation + 0.1;
   return u;
@@ -261,6 +261,22 @@ void BM_DatabaseApply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DatabaseApply);
+
+// The install path at uf_wide's population (range(0) objects per
+// class): newer updates to random objects, so nearly every apply
+// misses the cache on its slot and its cost is the slot's size.
+void BM_DatabaseApplyWide(benchmark::State& state) {
+  const int per_class = static_cast<int>(state.range(0));
+  db::Database database(per_class, per_class);
+  sim::RandomStream random(base::RngSeed(7));
+  std::uint64_t id = 0;
+  double t = 0;
+  for (auto _ : state) {
+    const db::Update u = MakeUpdate(++id, t += 0.001, random, per_class);
+    benchmark::DoNotOptimize(database.Apply(u));
+  }
+}
+BENCHMARK(BM_DatabaseApplyWide)->Arg(1000000);
 
 // Maximum-Age tracking: one apply per 2.5 ms of simulated time, with
 // the clock advanced so the expiry timer fires and the index entries

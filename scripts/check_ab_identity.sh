@@ -24,7 +24,9 @@
 #     and periodic feeds, switch/queue/scan costs, early view reads
 #     with preemption, the governor's staleness trigger, and the abort
 #     fallback for remote reads, alone and with abort-on-stale,
-#     preemption and a warm-up.
+#     preemption and a warm-up;
+#   - wide populations at 1 shard (faults off), 200k + 200k objects:
+#     UF and OD under all four criteria, and UF with n_attributes=3.
 #
 # A run that exits non-zero on either side fails the check: two
 # identical error exits are not a match.
@@ -167,6 +169,18 @@ for shards in 1 4; do
     done
   done
 done
+
+# The initial expiry wave, the queued generations and the attribute
+# table at a population far past the cache.
+WIDE=(--shards=1 --seed=7 --n_low=200000 --n_high=200000)
+for policy in UF OD; do
+  for criterion in MA UU MA+UU MA-arrival; do
+    run_pair "policy=$policy staleness=$criterion wide" \
+      --policy="$policy" "${WIDE[@]}" --staleness="$criterion"
+  done
+done
+run_pair "policy=UF --n_attributes=3 wide" --policy=UF "${WIDE[@]}" \
+  --n_attributes=3
 
 if [ "$failures" -ne 0 ]; then
   echo "check_ab_identity: $failures of $configs configurations failed"

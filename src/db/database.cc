@@ -11,14 +11,16 @@ const char* ObjectClassName(ObjectClass cls) {
 }
 
 Database::Database(int n_low, int n_high, int n_attributes)
-    : n_attributes_(n_attributes), low_(n_low), high_(n_high) {
+    : n_attributes_(n_attributes) {
+  static_assert(sizeof(Slot) == 16);
   STRIP_CHECK_MSG(n_low >= 0 && n_high >= 0, "negative partition size");
   STRIP_CHECK_MSG(n_attributes >= 1, "need at least one attribute");
-  if (n_attributes_ > 1) {
-    for (auto* partition : {&low_, &high_}) {
-      for (Slot& slot : *partition) {
-        slot.attribute_generations.assign(n_attributes_, 0.0);
-      }
+  const int sizes[kNumObjectClasses] = {n_low, n_high};
+  for (int c = 0; c < kNumObjectClasses; ++c) {
+    partitions_[c].slots.resize(sizes[c]);
+    if (n_attributes_ > 1) {
+      partitions_[c].attribute_generations.assign(
+          static_cast<std::size_t>(sizes[c]) * n_attributes_, 0.0);
     }
   }
 }
@@ -36,46 +38,49 @@ int Database::CheckedAttribute(const Update& update) const {
 }
 
 sim::Time Database::attribute_generation(ObjectId id, int attribute) const {
-  const Slot& slot = partition(id.cls)[CheckedIndex(id)];
+  const int index = CheckedIndex(id);
+  const Partition& p = partition(id.cls);
   if (n_attributes_ == 1) {
     STRIP_CHECK_MSG(attribute == 0, "attribute index out of range");
-    return slot.generation_time;
+    return p.slots[index].generation_time;
   }
   STRIP_CHECK_MSG(attribute >= 0 && attribute < n_attributes_,
                   "attribute index out of range");
-  return slot.attribute_generations[attribute];
+  return p.attribute_generations[AttributeRow(index) + attribute];
 }
 
 bool Database::IsWorthy(const Update& update) const {
-  const Slot& slot = partition(update.object.cls)[CheckedIndex(update.object)];
+  const int index = CheckedIndex(update.object);
+  const Partition& p = partition(update.object.cls);
   if (n_attributes_ == 1 || update.attribute < 0) {
     // Complete update: worthy if newer than the effective generation.
-    return update.generation_time > slot.generation_time;
+    return update.generation_time > p.slots[index].generation_time;
   }
   return update.generation_time >
-         slot.attribute_generations[CheckedAttribute(update)];
+         p.attribute_generations[AttributeRow(index) +
+                                 CheckedAttribute(update)];
 }
 
 bool Database::Apply(const Update& update) {
-  Slot& slot = partition(update.object.cls)[CheckedIndex(update.object)];
+  const int index = CheckedIndex(update.object);
+  Partition& p = partition(update.object.cls);
   if (!IsWorthy(update)) {
     ++skipped_writes_;
     return false;
   }
+  Slot& slot = p.slots[index];
   if (n_attributes_ == 1 || update.attribute < 0) {
     // Complete update: every attribute refreshed at once.
     slot.generation_time = update.generation_time;
     if (n_attributes_ > 1) {
-      std::fill(slot.attribute_generations.begin(),
-                slot.attribute_generations.end(), update.generation_time);
+      std::fill_n(p.attribute_generations.begin() + AttributeRow(index),
+                  n_attributes_, update.generation_time);
     }
   } else {
-    slot.attribute_generations[CheckedAttribute(update)] =
-        update.generation_time;
+    const auto row = p.attribute_generations.begin() + AttributeRow(index);
+    row[CheckedAttribute(update)] = update.generation_time;
     // The object is only as fresh as its oldest attribute.
-    slot.generation_time =
-        *std::min_element(slot.attribute_generations.begin(),
-                          slot.attribute_generations.end());
+    slot.generation_time = *std::min_element(row, row + n_attributes_);
   }
   slot.value = update.value;
   ++writes_;

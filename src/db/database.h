@@ -20,6 +20,8 @@
 #ifndef STRIP_DB_DATABASE_H_
 #define STRIP_DB_DATABASE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "db/object.h"
@@ -38,7 +40,7 @@ class Database {
 
   // Number of objects in a partition.
   int size(ObjectClass cls) const {
-    return static_cast<int>(partition(cls).size());
+    return static_cast<int>(partition(cls).slots.size());
   }
 
   // Total number of view objects.
@@ -61,7 +63,7 @@ class Database {
   // Effective generation timestamp of an object's current value: with
   // multiple attributes, the generation of the *oldest* attribute.
   sim::Time generation_time(ObjectId id) const {
-    return partition(id.cls)[CheckedIndex(id)].generation_time;
+    return partition(id.cls).slots[CheckedIndex(id)].generation_time;
   }
 
   // Generation timestamp of one attribute (attribute databases only).
@@ -71,7 +73,7 @@ class Database {
 
   // Current value of an object.
   double value(ObjectId id) const {
-    return partition(id.cls)[CheckedIndex(id)].value;
+    return partition(id.cls).slots[CheckedIndex(id)].value;
   }
 
   // Age of an object's current value at time `now`.
@@ -85,28 +87,39 @@ class Database {
   std::uint64_t skipped_writes() const { return skipped_writes_; }
 
  private:
+  // 16 bytes per object.
   struct Slot {
     // Effective generation: min over attributes (== the single
     // generation when n_attributes is 1).
     sim::Time generation_time = 0;
     double value = 0;
-    // Per-attribute generations; empty when n_attributes is 1.
+  };
+
+  struct Partition {
+    std::vector<Slot> slots;
+    // n_attributes_ generations per object, object by object; empty
+    // when n_attributes_ is 1.
     std::vector<sim::Time> attribute_generations;
   };
 
-  const std::vector<Slot>& partition(ObjectClass cls) const {
-    return cls == ObjectClass::kLowImportance ? low_ : high_;
+  const Partition& partition(ObjectClass cls) const {
+    return partitions_[static_cast<int>(cls)];
   }
-  std::vector<Slot>& partition(ObjectClass cls) {
-    return cls == ObjectClass::kLowImportance ? low_ : high_;
+  Partition& partition(ObjectClass cls) {
+    return partitions_[static_cast<int>(cls)];
   }
 
   int CheckedIndex(ObjectId id) const;
   int CheckedAttribute(const Update& update) const;
 
+  // Offset of an object's first attribute in its partition's
+  // attribute_generations.
+  std::size_t AttributeRow(int index) const {
+    return static_cast<std::size_t>(index) * n_attributes_;
+  }
+
   int n_attributes_;
-  std::vector<Slot> low_;
-  std::vector<Slot> high_;
+  Partition partitions_[kNumObjectClasses];
   std::uint64_t writes_ = 0;
   std::uint64_t skipped_writes_ = 0;
 };

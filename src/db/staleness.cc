@@ -37,71 +37,93 @@ StalenessTracker::StalenessTracker(sim::Simulator* simulator,
                                    StalenessCriterion criterion,
                                    sim::Duration max_age, int n_low,
                                    int n_high)
-    : simulator_(simulator),
-      criterion_(criterion),
-      max_age_(max_age),
-      low_(n_low),
-      high_(n_high) {
+    : simulator_(simulator), criterion_(criterion), max_age_(max_age) {
+  static_assert(sizeof(ObjectState) == 24);
   STRIP_CHECK(simulator != nullptr);
+  STRIP_CHECK_MSG(n_low >= 0 && n_high >= 0, "negative partition size");
   if (UsesMaxAge()) {
     STRIP_CHECK_MSG(max_age > 0, "max age must be positive under MA");
   }
+  // All objects start with generation time 0, so under MA they expire
+  // together at alpha unless refreshed first: the run's implicit
+  // initial wave, on sequences reserved in object order. A tracker
+  // that starts at or after alpha starts with every object stale.
+  const sim::Time now = simulator_->now();
+  const bool initially_stale = UsesMaxAge() && max_age_ <= now;
+  if (UsesMaxAge() && !initially_stale) {
+    initial_size_ = static_cast<std::size_t>(n_low) + n_high;
+    initial_sequence_ = simulator_->ReserveSequence(initial_size_);
+  }
+  std::uint64_t sequence = initial_sequence_;
+  const int sizes[kNumObjectClasses] = {n_low, n_high};
   for (int c = 0; c < kNumObjectClasses; ++c) {
-    stale_fraction_[c].StartAt(simulator_->now(), 0.0);
-  }
-  if (UsesMaxAge()) {
-    // All objects start with generation time 0 and will expire at
-    // alpha unless refreshed first.
-    run_.reserve(static_cast<std::size_t>(n_low) + n_high);
-    for (int i = 0; i < n_low; ++i) {
-      ScheduleExpiry({ObjectClass::kLowImportance, i});
+    ClassState& cls = classes_[c];
+    cls.objects.reserve(sizes[c]);
+    for (int i = 0; i < sizes[c]; ++i) {
+      cls.objects.push_back(
+          {.expiry_sequence = initial_size_ > 0 ? sequence++ : kNoExpiry});
     }
-    for (int i = 0; i < n_high; ++i) {
-      ScheduleExpiry({ObjectClass::kHighImportance, i});
-    }
+    cls.stale.assign(sizes[c], initially_stale);
+    cls.stale_count.StartAt(now, initially_stale ? sizes[c] : 0);
   }
+  if (initial_size_ > 0) ArmTimer(RunFront().key);
+}
+
+int StalenessTracker::CheckedIndex(ObjectId id) const {
+  const int size = static_cast<int>(class_state(id.cls).objects.size());
+  STRIP_CHECK_MSG(id.index >= 0 && id.index < size,
+                  "object index out of range");
+  return id.index;
 }
 
 StalenessTracker::ObjectState& StalenessTracker::state(ObjectId id) {
-  auto& partition = id.cls == ObjectClass::kLowImportance ? low_ : high_;
-  STRIP_CHECK_MSG(
-      id.index >= 0 && id.index < static_cast<int>(partition.size()),
-      "object index out of range");
-  return partition[id.index];
+  return class_state(id.cls).objects[CheckedIndex(id)];
 }
 
 const StalenessTracker::ObjectState& StalenessTracker::state(
     ObjectId id) const {
-  return const_cast<StalenessTracker*>(this)->state(id);
+  return class_state(id.cls).objects[CheckedIndex(id)];
 }
 
-bool StalenessTracker::ComputeStale(const ObjectState& s) const {
+std::vector<StalenessTracker::QueuedKey>& StalenessTracker::QueuedKeys(
+    ObjectId id) {
+  ClassState& cls = class_state(id.cls);
+  if (cls.queued.empty()) cls.queued.resize(cls.objects.size());
+  return cls.queued[CheckedIndex(id)];
+}
+
+bool StalenessTracker::ComputeStale(ObjectId id) const {
+  const ObjectState& s = state(id);
   // >= so the flag flips when the expiry fires at freshness + max_age
   // (the boundary itself has measure zero). Rounding can leave
   // fl(freshness + max_age) - freshness just under max_age; the flag
   // then stays fresh until the object's next refresh.
   const bool ma_stale = simulator_->now() - s.freshness >= max_age_;
-  const bool uu_stale =
-      !s.queued.empty() && s.queued.back().first > s.db_generation;
+  const auto uu_stale = [&] {
+    const auto& queued = class_state(id.cls).queued;
+    if (queued.empty()) return false;
+    const std::vector<QueuedKey>& keys = queued[id.index];
+    return !keys.empty() && keys.back().first > s.db_generation;
+  };
   switch (criterion_) {
     case StalenessCriterion::kMaxAge:
     case StalenessCriterion::kMaxAgeArrival:
       return ma_stale;
     case StalenessCriterion::kUnappliedUpdate:
-      return uu_stale;
+      return uu_stale();
     case StalenessCriterion::kCombined:
-      return ma_stale || uu_stale;
+      return ma_stale || uu_stale();
   }
   return false;
 }
 
 void StalenessTracker::Refresh(ObjectId id) {
-  ObjectState& s = state(id);
-  const bool now_stale = ComputeStale(s);
-  if (now_stale == s.stale) return;
-  s.stale = now_stale;
-  sim::TimeWeighted& signal = stale_fraction_[static_cast<int>(id.cls)];
-  signal.Set(simulator_->now(), signal.value() + (now_stale ? 1.0 : -1.0));
+  const bool now_stale = ComputeStale(id);
+  ClassState& cls = class_state(id.cls);
+  if (now_stale == cls.stale[id.index]) return;
+  cls.stale[id.index] = now_stale;
+  cls.stale_count.Set(simulator_->now(),
+                      cls.stale_count.value() + (now_stale ? 1.0 : -1.0));
 }
 
 void StalenessTracker::ScheduleExpiry(ObjectId id) {
@@ -118,8 +140,12 @@ void StalenessTracker::ScheduleExpiry(ObjectId id) {
   s.expiry_sequence = simulator_->ReserveSequence();
   const Expiry expiry{{expiry_time, s.expiry_sequence}, id};
   // Sequences only grow, so an expiry no earlier than the run's last
-  // one also sorts after it.
-  if (run_.empty() || expiry_time >= run_.back().key.at) {
+  // one also sorts after it. The initial wave, at alpha, ends the run
+  // until something is appended.
+  const bool in_order =
+      RunEmpty() ||
+      expiry_time >= (run_.empty() ? max_age_ : run_.back().key.at);
+  if (in_order) {
     // Drop the consumed prefix once it is half the run: each entry is
     // moved at most once per entry consumed before it.
     if (run_head_ > 0 && run_head_ * 2 >= run_.size()) {
@@ -135,35 +161,61 @@ void StalenessTracker::ScheduleExpiry(ObjectId id) {
   ArmTimer(expiry.key);
 }
 
-const StalenessTracker::Expiry* StalenessTracker::EarliestExpiry() {
-  const auto superseded = [this](const Expiry& e) {
-    return state(e.object).expiry_sequence != e.key.sequence;
-  };
-  while (run_head_ < run_.size() && superseded(run_[run_head_])) {
-    PopExpiry(&run_[run_head_]);
-  }
-  while (!out_of_order_.empty() && superseded(out_of_order_.front())) {
-    PopExpiry(&out_of_order_.front());
-  }
-  const Expiry* run = run_head_ < run_.size() ? &run_[run_head_] : nullptr;
-  const Expiry* heap =
-      out_of_order_.empty() ? nullptr : &out_of_order_.front();
-  if (run == nullptr) return heap;
-  if (heap == nullptr) return run;
-  return heap->key < run->key ? heap : run;
+StalenessTracker::Expiry StalenessTracker::RunFront() const {
+  if (initial_head_ == initial_size_) return run_[run_head_];
+  const std::size_t k = initial_head_;
+  const std::size_t n_low =
+      class_state(ObjectClass::kLowImportance).objects.size();
+  const ObjectId id =
+      k < n_low ? ObjectId{ObjectClass::kLowImportance, static_cast<int>(k)}
+                : ObjectId{ObjectClass::kHighImportance,
+                           static_cast<int>(k - n_low)};
+  return {{max_age_, initial_sequence_ + k}, id};
 }
 
-void StalenessTracker::PopExpiry(const Expiry* expiry) {
-  if (!out_of_order_.empty() && expiry == &out_of_order_.front()) {
-    std::pop_heap(out_of_order_.begin(), out_of_order_.end(), kLaterExpiry);
-    out_of_order_.pop_back();
+void StalenessTracker::PopRunFront() {
+  if (initial_head_ < initial_size_) {
+    ++initial_head_;
     return;
   }
-  STRIP_CHECK(run_head_ < run_.size() && expiry == &run_[run_head_]);
   if (++run_head_ == run_.size()) {
     run_.clear();
     run_head_ = 0;
   }
+}
+
+void StalenessTracker::PopHeapFront() {
+  std::pop_heap(out_of_order_.begin(), out_of_order_.end(), kLaterExpiry);
+  out_of_order_.pop_back();
+}
+
+std::optional<StalenessTracker::Expiry> StalenessTracker::EarliestExpiry() {
+  const auto superseded = [this](const Expiry& e) {
+    return state(e.object).expiry_sequence != e.key.sequence;
+  };
+  while (!RunEmpty() && superseded(RunFront())) PopRunFront();
+  while (!out_of_order_.empty() && superseded(out_of_order_.front())) {
+    PopHeapFront();
+  }
+  if (RunEmpty()) {
+    if (out_of_order_.empty()) return std::nullopt;
+    return out_of_order_.front();
+  }
+  const Expiry run = RunFront();
+  if (!out_of_order_.empty() && out_of_order_.front().key < run.key) {
+    return out_of_order_.front();
+  }
+  return run;
+}
+
+void StalenessTracker::PopExpiry(const Expiry& expiry) {
+  // Sequences are unique, so the key names the front it came from.
+  if (!out_of_order_.empty() && out_of_order_.front().key == expiry.key) {
+    PopHeapFront();
+    return;
+  }
+  STRIP_CHECK(!RunEmpty() && RunFront().key == expiry.key);
+  PopRunFront();
 }
 
 void StalenessTracker::ArmTimer(const ExpiryKey& key) {
@@ -179,7 +231,7 @@ void StalenessTracker::OnExpiryTimer() {
   timers_.pop_back();
   const sim::Time now = simulator_->now();
   STRIP_CHECK(fired.at == now);
-  while (const Expiry* next = EarliestExpiry()) {
+  while (const std::optional<Expiry> next = EarliestExpiry()) {
     STRIP_CHECK_MSG(!(next->key < fired), "MA expiry passed its timer");
     // The expiry at this timer's key is due now. A later one at this
     // instant is due too when no other pending event would be
@@ -190,16 +242,14 @@ void StalenessTracker::OnExpiryTimer() {
       ArmTimer(next->key);
       return;
     }
-    const ObjectId id = next->object;
-    PopExpiry(next);
-    Refresh(id);
+    PopExpiry(*next);
+    Refresh(next->object);
   }
 }
 
 void StalenessTracker::ResetObservation() {
-  for (int c = 0; c < kNumObjectClasses; ++c) {
-    const double current = stale_fraction_[c].value();
-    stale_fraction_[c].StartAt(simulator_->now(), current);
+  for (ClassState& cls : classes_) {
+    cls.stale_count.StartAt(simulator_->now(), cls.stale_count.value());
   }
 }
 
@@ -219,42 +269,37 @@ void StalenessTracker::OnApply(ObjectId id, sim::Time generation_time,
 }
 
 void StalenessTracker::OnEnqueued(const Update& update) {
-  ObjectState& s = state(update.object);
-  const std::pair<sim::Time, std::uint64_t> key{update.generation_time,
-                                                update.id.value()};
-  s.queued.insert(std::upper_bound(s.queued.begin(), s.queued.end(), key),
-                  key);
+  std::vector<QueuedKey>& keys = QueuedKeys(update.object);
+  const QueuedKey key{update.generation_time, update.id.value()};
+  keys.insert(std::upper_bound(keys.begin(), keys.end(), key), key);
   Refresh(update.object);
 }
 
 void StalenessTracker::OnRemovedFromQueue(const Update& update) {
-  ObjectState& s = state(update.object);
-  const std::pair<sim::Time, std::uint64_t> key{update.generation_time,
-                                                update.id.value()};
-  const auto it = std::lower_bound(s.queued.begin(), s.queued.end(), key);
-  STRIP_CHECK_MSG(it != s.queued.end() && *it == key,
+  std::vector<QueuedKey>& keys = QueuedKeys(update.object);
+  const QueuedKey key{update.generation_time, update.id.value()};
+  const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+  STRIP_CHECK_MSG(it != keys.end() && *it == key,
                   "removed update was not tracked as queued");
-  s.queued.erase(it);
+  keys.erase(it);
   Refresh(update.object);
 }
 
 bool StalenessTracker::IsStale(ObjectId id) const {
-  return ComputeStale(state(id));
+  return ComputeStale(id);
 }
 
 double StalenessTracker::FractionStaleNow(ObjectClass cls) const {
-  const auto& partition = cls == ObjectClass::kLowImportance ? low_ : high_;
-  if (partition.empty()) return 0.0;
-  return stale_fraction_[static_cast<int>(cls)].value() /
-         static_cast<double>(partition.size());
+  const ClassState& c = class_state(cls);
+  if (c.objects.empty()) return 0.0;
+  return c.stale_count.value() / static_cast<double>(c.objects.size());
 }
 
 double StalenessTracker::FractionStaleAverage(ObjectClass cls,
                                               sim::Time end) const {
-  const auto& partition = cls == ObjectClass::kLowImportance ? low_ : high_;
-  if (partition.empty()) return 0.0;
-  return stale_fraction_[static_cast<int>(cls)].Average(end) /
-         static_cast<double>(partition.size());
+  const ClassState& c = class_state(cls);
+  if (c.objects.empty()) return 0.0;
+  return c.stale_count.Average(end) / static_cast<double>(c.objects.size());
 }
 
 }  // namespace strip::db

@@ -30,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -62,8 +63,9 @@ bool DetectableByTimestamp(StalenessCriterion criterion);
 class StalenessTracker {
  public:
   // `max_age` is alpha; it is ignored under kUnappliedUpdate. All
-  // objects start fresh with generation time 0 (matching Database's
-  // initial state). The tracker schedules its MA expiry timer on
+  // objects start with generation time 0 (matching Database's initial
+  // state): fresh, or stale under MA when the simulator's clock has
+  // already reached alpha. The tracker schedules its MA expiry timer on
   // `simulator`, which must outlive it.
   StalenessTracker(sim::Simulator* simulator, StalenessCriterion criterion,
                    sim::Duration max_age, int n_low, int n_high);
@@ -97,7 +99,7 @@ class StalenessTracker {
 
   // Number of currently stale objects in a partition.
   int StaleCount(ObjectClass cls) const {
-    return static_cast<int>(stale_fraction_[static_cast<int>(cls)].value());
+    return static_cast<int>(class_state(cls).stale_count.value());
   }
 
   // Fraction of the partition currently stale.
@@ -111,22 +113,36 @@ class StalenessTracker {
   sim::Duration max_age() const { return max_age_; }
 
  private:
+  // 24 bytes per object: the stale flag and the queued generations
+  // live beside the objects, in ClassState.
   struct ObjectState {
     sim::Time db_generation = 0;
     // The timestamp MA-style aging runs on: the generation time, or
     // the arrival time under kMaxAgeArrival.
     sim::Time freshness = 0;
-    // Generation times of this object's queued updates, kept sorted
-    // ascending (ties broken by update id, so keys are unique). A flat
-    // vector beats a node-based set here: the per-object backlog is
-    // small — usually zero or one entry, bounded by the queue depth —
-    // so ordered insert/erase are a short memmove with no allocation,
-    // and the UU check reads the max straight off the back.
-    std::vector<std::pair<sim::Time, std::uint64_t>> queued;
     // Sequence of the object's current MA expiry; index entries under
     // any other sequence are superseded and skipped.
     std::uint64_t expiry_sequence = kNoExpiry;
-    bool stale = false;
+  };
+
+  // Generation time and update id of one queued update.
+  using QueuedKey = std::pair<sim::Time, std::uint64_t>;
+
+  struct ClassState {
+    std::vector<ObjectState> objects;
+    // One stale flag per object.
+    std::vector<bool> stale;
+    // Per object, the generation times of its queued updates, kept
+    // sorted ascending (ties broken by update id, so keys are unique).
+    // A flat vector beats a node-based set here: the per-object backlog
+    // is small — usually zero or one entry, bounded by the queue depth —
+    // so ordered insert/erase are a short memmove with no allocation,
+    // and the UU check reads the max straight off the back. Sized to
+    // the class at its first OnEnqueued, so a run that never queues
+    // (Update First) never allocates it.
+    std::vector<std::vector<QueuedKey>> queued;
+    // Stale count, integrated over time.
+    sim::TimeWeighted stale_count;
   };
 
   static constexpr std::uint64_t kNoExpiry = ~std::uint64_t{0};
@@ -148,10 +164,19 @@ class StalenessTracker {
     ObjectId object;
   };
 
+  ClassState& class_state(ObjectClass cls) {
+    return classes_[static_cast<int>(cls)];
+  }
+  const ClassState& class_state(ObjectClass cls) const {
+    return classes_[static_cast<int>(cls)];
+  }
+  int CheckedIndex(ObjectId id) const;
   ObjectState& state(ObjectId id);
   const ObjectState& state(ObjectId id) const;
+  // The object's queued keys; sizes the class's table on first use.
+  std::vector<QueuedKey>& QueuedKeys(ObjectId id);
 
-  bool ComputeStale(const ObjectState& s) const;
+  bool ComputeStale(ObjectId id) const;
 
   // Re-evaluates one object's flag and folds any change into the
   // stale-count signal.
@@ -161,11 +186,19 @@ class StalenessTracker {
   // earlier one.
   void ScheduleExpiry(ObjectId id);
 
+  // The run is the initial wave, then `run_` from `run_head_` on.
+  bool RunEmpty() const {
+    return initial_head_ == initial_size_ && run_head_ == run_.size();
+  }
+  Expiry RunFront() const;
+  void PopRunFront();
+  void PopHeapFront();
+
   // Drops superseded entries off both index fronts and returns the
-  // earliest current expiry, or nullptr if none is pending.
-  const Expiry* EarliestExpiry();
+  // earliest current expiry, or nullopt if none is pending.
+  std::optional<Expiry> EarliestExpiry();
   // Removes `expiry`, as returned by EarliestExpiry().
-  void PopExpiry(const Expiry* expiry);
+  void PopExpiry(const Expiry& expiry);
 
   // Schedules a timer at `key` unless one at or before it is pending.
   void ArmTimer(const ExpiryKey& key);
@@ -182,14 +215,23 @@ class StalenessTracker {
   sim::Simulator* simulator_;
   StalenessCriterion criterion_;
   sim::Duration max_age_;
-  std::vector<ObjectState> low_;
-  std::vector<ObjectState> high_;
+  ClassState classes_[kNumObjectClasses];
   // The expiry index, in (at, sequence) order. An expiry no earlier
-  // than the last one appended goes to the run, read from `run_head_`
-  // on: the initial population, and every expiry under MA-arrival. The
-  // rest (most steady-state expiries under generation-time MA, since
-  // update ages vary) go to a min-heap, which only ever holds expiries
-  // due within alpha.
+  // than the run's last one is appended to the run; the rest (most
+  // steady-state expiries under generation-time MA, since update ages
+  // vary) go to a min-heap, which only ever holds expiries due within
+  // alpha.
+  //
+  // The run starts with the initial wave, which is implicit: entry k
+  // of [initial_head_, initial_size_) is (alpha, initial_sequence_ + k)
+  // for the k-th object, low class first. Appended entries sort after
+  // it: while any of it is pending, only an expiry due at or after
+  // alpha is appended, and its sequence is later. They are stored in
+  // `run_` and read from `run_head_` on; every expiry under MA-arrival
+  // goes there.
+  std::uint64_t initial_sequence_ = 0;
+  std::size_t initial_head_ = 0;
+  std::size_t initial_size_ = 0;
   std::vector<Expiry> run_;
   std::size_t run_head_ = 0;
   std::vector<Expiry> out_of_order_;
@@ -198,8 +240,6 @@ class StalenessTracker {
   // earliest pending timer is always at or before the earliest current
   // expiry.
   std::vector<ExpiryKey> timers_;
-  // Stale *count* per class, integrated over time.
-  sim::TimeWeighted stale_fraction_[kNumObjectClasses];
 };
 
 }  // namespace strip::db

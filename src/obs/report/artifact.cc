@@ -220,12 +220,9 @@ std::optional<TelemetryDoc> ParseTelemetryDoc(const std::string& path,
     return std::nullopt;
   }
   const std::string schema = doc.StringOr("schema", "");
-  // v4 is a strict superset of v3 for everything the report layer
-  // reads (it added the interconnect robustness counters), so both
-  // generations stay loadable — old archives keep diffing cleanly.
-  if (schema != "strip.telemetry/v3" && schema != "strip.telemetry/v4") {
+  if (schema != "strip.telemetry/v4") {
     SetError(error, path, "unsupported schema '" + schema +
-                              "' (want strip.telemetry/v3 or v4)");
+                              "' (want strip.telemetry/v4)");
     return std::nullopt;
   }
   TelemetryDoc out;

@@ -2,7 +2,7 @@
 //
 // Three artifact families come out of a run today:
 //
-//  - strip.telemetry/v3 documents (obs/telemetry.h) — one per run, or
+//  - strip.telemetry/v4 documents (obs/telemetry.h) — one per run, or
 //    one per shard suffixed ".shard<k>" for sharded runs;
 //  - strip.sweep-cell/v1 documents (exp/sweep_cell.h, written by
 //    strip_sweep --out-dir) — one per finished sweep cell, all
@@ -65,7 +65,7 @@ struct HistogramData {
   std::optional<LatencyHistogram> Rebuild() const;
 };
 
-// One parsed strip.telemetry/v3 document.
+// One parsed strip.telemetry/v4 document.
 struct TelemetryDoc {
   std::string path;
   std::string policy;

@@ -1,7 +1,7 @@
 // A minimal JSON Schema validator for the telemetry contract.
 //
 // docs/telemetry.schema.json is the formal, machine-checkable
-// description of strip.telemetry/v3; the test suite validates every
+// description of strip.telemetry/v4; the test suite validates every
 // telemetry document it writes against it, so schema drift is caught
 // where it originates (the writer) instead of in downstream parsers.
 // The validator implements the subset of JSON Schema the contract

@@ -120,9 +120,12 @@ EventQueue::Handle EventQueue::Schedule(Time at, Callback callback) {
   return Insert(at, ReserveSequence(), std::move(callback));
 }
 
-std::uint64_t EventQueue::ReserveSequence() {
-  STRIP_CHECK_MSG(next_sequence_ < kMaxSequence, "event sequence exhausted");
-  return next_sequence_++;
+std::uint64_t EventQueue::ReserveSequence(std::uint64_t count) {
+  STRIP_CHECK_MSG(count <= kMaxSequence - next_sequence_,
+                  "event sequence exhausted");
+  const std::uint64_t first = next_sequence_;
+  next_sequence_ += count;
+  return first;
 }
 
 EventQueue::Handle EventQueue::ScheduleReserved(Time at,

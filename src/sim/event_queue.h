@@ -80,8 +80,10 @@ class EventQueue {
   // Takes the sequence number the next Schedule would have used,
   // without scheduling anything. The sequence fixes an event's place
   // among events at the same instant, so reserving one lets a client
-  // defer the decision to schedule while keeping that place.
-  std::uint64_t ReserveSequence();
+  // defer the decision to schedule while keeping that place. With
+  // `count` > 1 it takes that many consecutive sequences and returns
+  // the first.
+  std::uint64_t ReserveSequence(std::uint64_t count = 1);
 
   // Schedules `callback` at `at` under `sequence`, which must have
   // come from ReserveSequence(): the event fires after same-time

@@ -37,9 +37,12 @@ class Simulator {
   EventQueue::Handle ScheduleAfter(Duration delay,
                                    EventQueue::Callback callback);
 
-  // Takes the sequence number the next ScheduleAt would use, without
-  // scheduling anything (see EventQueue::ReserveSequence).
-  std::uint64_t ReserveSequence() { return queue_.ReserveSequence(); }
+  // Takes the sequence number the next ScheduleAt would use, or
+  // `count` consecutive ones starting there, without scheduling
+  // anything (see EventQueue::ReserveSequence).
+  std::uint64_t ReserveSequence(std::uint64_t count = 1) {
+    return queue_.ReserveSequence(count);
+  }
 
   // Schedules `callback` at absolute time `at` (must be >= now()) in
   // the same-instant place of a sequence from ReserveSequence().

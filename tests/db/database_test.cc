@@ -93,6 +93,11 @@ TEST(DatabaseDeathTest, OutOfRangeIndexDies) {
                "out of range");
 }
 
+TEST(DatabaseDeathTest, NegativePartitionSizeDies) {
+  EXPECT_DEATH(Database(-1, 10), "negative partition size");
+  EXPECT_DEATH(Database(10, -1), "negative partition size");
+}
+
 // ---------- partial updates (multi-attribute objects) -----------------------
 
 Update MakePartial(ObjectId object, int attribute, sim::Time generation,

@@ -1,15 +1,20 @@
-// Differential test of the MA expiry index against the tracker it
-// replaced, which kept one simulator event per object and cancelled
-// and rescheduled it on every apply.
+// Differential test of the staleness tracker (its MA expiry index and
+// its queued side table) against the tracker it replaced, which kept
+// one simulator event and one set of queued generations per object and
+// cancelled and rescheduled the event on every apply.
 //
 // Both trackers run on twin simulators under the same seeded script,
-// alone or beside a second tracker on the same simulator.
+// alone or beside a second tracker on the same simulator. Each tracker
+// is built by an event at a random time, before, at or after alpha, so
+// the implicit initial wave starts on sequences the simulator has
+// already advanced, or is skipped because every object starts stale.
 // Times, generation times and alpha are half-integers, so expiries tie
 // with readers and other expiries at the same instant, and readers are
-// scheduled both before and after the apply that created an expiry.
-// The index must fire each expiry exactly where its per-object event
-// fired: every reader's stale counts and the final f_old must match bit
-// for bit.
+// scheduled both before and after the apply or construction that
+// created an expiry. Updates are queued and removed under every
+// criterion. The index must fire each expiry exactly where its
+// per-object event fired: every reader's stale counts and the final
+// f_old must match bit for bit.
 
 #include <algorithm>
 #include <functional>
@@ -153,8 +158,8 @@ Observation RunScript(StalenessCriterion criterion, std::uint64_t seed) {
     return kStep * random.UniformInt(lo, hi);
   };
   const double alpha = half_steps(1, 8);
-  const int n[kNumObjectClasses] = {random.UniformInt(1, 3),
-                                    random.UniformInt(1, 3)};
+  const int n[kNumObjectClasses] = {random.UniformInt(1, 40),
+                                    random.UniformInt(1, 40)};
   struct Shard {
     std::unique_ptr<Tracker> tracker;
     std::vector<sim::Time> last_generation[kNumObjectClasses];
@@ -169,7 +174,9 @@ Observation RunScript(StalenessCriterion criterion, std::uint64_t seed) {
     for (const Shard& shard : shards) {
       for (int c = 0; c < kNumObjectClasses; ++c) {
         seen.stale_counts.push_back(
-            shard.tracker->StaleCount(static_cast<ObjectClass>(c)));
+            shard.tracker == nullptr
+                ? -1
+                : shard.tracker->StaleCount(static_cast<ObjectClass>(c)));
       }
     }
   };
@@ -182,9 +189,8 @@ Observation RunScript(StalenessCriterion criterion, std::uint64_t seed) {
                     random.UniformInt(0, n[c] - 1)};
   };
 
-  std::function<void()> act = [&] {
-    Shard& shard =
-        shards[random.UniformInt(0, static_cast<int>(shards.size()) - 1)];
+  // One random tracker call on a built shard.
+  const auto mutate = [&](Shard& shard) {
     const int op = random.UniformInt(0, 9);
     if (op < 5) {
       // An apply whose value may already be older than alpha, or whose
@@ -198,7 +204,7 @@ Observation RunScript(StalenessCriterion criterion, std::uint64_t seed) {
           generation, sim.now() - kStep * random.UniformInt(0, age));
       last = generation;
       shard.tracker->OnApply(id, generation, arrival);
-    } else if (op < 7 && criterion == StalenessCriterion::kCombined) {
+    } else if (op < 7) {
       Update u;
       u.id = base::UpdateId(next_update++);
       u.object = random_object();
@@ -215,8 +221,14 @@ Observation RunScript(StalenessCriterion criterion, std::uint64_t seed) {
     } else if (op < 9) {
       shard.tracker->ResetObservation();
     }
+  };
+
+  std::function<void()> act = [&] {
+    Shard& shard =
+        shards[random.UniformInt(0, static_cast<int>(shards.size()) - 1)];
+    if (shard.tracker != nullptr) mutate(shard);
     // Readers and actions scheduled from here come after any expiry
-    // the apply above created; some land on its instant.
+    // the call above created; some land on its instant.
     for (int r = random.UniformInt(0, 2); r > 0; --r) {
       schedule_reader(sim.now() + half_steps(0, static_cast<int>(
                                                     (alpha + 1) / kStep)));
@@ -228,16 +240,23 @@ Observation RunScript(StalenessCriterion criterion, std::uint64_t seed) {
   };
 
   // Readers scheduled before a tracker exists precede its initial
-  // expiries at alpha; those scheduled after follow them.
+  // expiries at alpha; those scheduled after follow them. A tracker
+  // built at or after alpha starts with every object stale.
   for (Shard& shard : shards) {
     for (int r = random.UniformInt(0, 3); r > 0; --r) {
       schedule_reader(half_steps(0, static_cast<int>(kHorizon / kStep)));
     }
-    shard.tracker = std::make_unique<Tracker>(&sim, criterion, alpha, n[0],
-                                              n[1]);
-    for (int c = 0; c < kNumObjectClasses; ++c) {
-      shard.last_generation[c].assign(n[c], 0.0);
-    }
+    sim.ScheduleAt(half_steps(0, static_cast<int>(2 * alpha / kStep)), [&] {
+      shard.tracker = std::make_unique<Tracker>(&sim, criterion, alpha, n[0],
+                                                n[1]);
+      for (int c = 0; c < kNumObjectClasses; ++c) {
+        shard.last_generation[c].assign(n[c], 0.0);
+      }
+      for (int r = random.UniformInt(0, 2); r > 0; --r) {
+        schedule_reader(sim.now() + half_steps(0, static_cast<int>(
+                                                      (alpha + 1) / kStep)));
+      }
+    });
   }
   for (int a = random.UniformInt(4, 16); a > 0; --a) {
     sim.ScheduleAt(half_steps(0, static_cast<int>(kHorizon / kStep)), act);
@@ -273,21 +292,32 @@ TEST_P(StalenessOrderTest, ExpiryIndexMatchesPerObjectEvents) {
                          << " scripts diverged, first at " << first;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    MaxAgeFamily, StalenessOrderTest,
-    ::testing::Values(StalenessCriterion::kMaxAge,
-                      StalenessCriterion::kMaxAgeArrival,
-                      StalenessCriterion::kCombined),
-    [](const ::testing::TestParamInfo<StalenessCriterion>& param_info) {
-      switch (param_info.param) {
-        case StalenessCriterion::kMaxAge:
-          return std::string("MA");
-        case StalenessCriterion::kMaxAgeArrival:
-          return std::string("MA_arrival");
-        default:
-          return std::string("MA_UU");
-      }
-    });
+std::string CriterionName(
+    const ::testing::TestParamInfo<StalenessCriterion>& param_info) {
+  switch (param_info.param) {
+    case StalenessCriterion::kMaxAge:
+      return "MA";
+    case StalenessCriterion::kMaxAgeArrival:
+      return "MA_arrival";
+    case StalenessCriterion::kUnappliedUpdate:
+      return "UU";
+    case StalenessCriterion::kCombined:
+      return "MA_UU";
+  }
+  return "unknown";
+}
+
+INSTANTIATE_TEST_SUITE_P(MaxAgeFamily, StalenessOrderTest,
+                         ::testing::Values(StalenessCriterion::kMaxAge,
+                                           StalenessCriterion::kMaxAgeArrival,
+                                           StalenessCriterion::kCombined),
+                         CriterionName);
+
+// No expiries: the queued generations alone decide staleness.
+INSTANTIATE_TEST_SUITE_P(UnappliedUpdate, StalenessOrderTest,
+                         ::testing::Values(
+                             StalenessCriterion::kUnappliedUpdate),
+                         CriterionName);
 
 }  // namespace
 }  // namespace strip::db

@@ -80,6 +80,34 @@ TEST(MaxAgeTest, StaleCountTracksPerPartition) {
                    2.0 / 3.0);
 }
 
+TEST(MaxAgeTest, TrackerBuiltBeforeAlphaExpiresEveryObjectAtAlpha) {
+  sim::Simulator sim;
+  sim.RunUntil(3.0);
+  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 7.0, 3, 2);
+  tracker.OnApply({ObjectClass::kHighImportance, 1}, 3.0);
+  sim.RunUntil(7.0);
+  EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 3);
+  EXPECT_EQ(tracker.StaleCount(ObjectClass::kHighImportance), 1);
+  sim.RunUntil(10.0);
+  EXPECT_EQ(tracker.StaleCount(ObjectClass::kHighImportance), 2);
+}
+
+TEST(MaxAgeTest, TrackerBuiltAtAlphaStartsStale) {
+  sim::Simulator sim;
+  sim.RunUntil(7.0);
+  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 7.0, 3, 2);
+  EXPECT_EQ(sim.events_pending(), 0u);
+  EXPECT_TRUE(tracker.IsStale(kObj));
+  EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 3);
+  EXPECT_EQ(tracker.StaleCount(ObjectClass::kHighImportance), 2);
+  tracker.OnApply(kObj, 7.0);
+  EXPECT_FALSE(tracker.IsStale(kObj));
+  EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 2);
+  sim.RunUntil(10.0);
+  EXPECT_NEAR(tracker.FractionStaleAverage(ObjectClass::kHighImportance, 10.0),
+              1.0, 1e-12);
+}
+
 TEST(MaxAgeTest, FractionStaleAverageIsExactIntegral) {
   sim::Simulator sim;
   StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 5.0, 1, 1);
@@ -287,6 +315,16 @@ TEST(StalenessTrackerDeathTest, InvalidUse) {
                "not tracked");
   EXPECT_DEATH(tracker.IsStale({ObjectClass::kLowImportance, 9}),
                "out of range");
+}
+
+TEST(StalenessTrackerDeathTest, NegativePartitionSizeDies) {
+  sim::Simulator sim;
+  EXPECT_DEATH(
+      StalenessTracker(&sim, StalenessCriterion::kMaxAge, 7.0, -1, 2),
+      "negative partition size");
+  EXPECT_DEATH(StalenessTracker(&sim, StalenessCriterion::kUnappliedUpdate,
+                                0.0, 2, -1),
+               "negative partition size");
 }
 
 TEST(StalenessTrackerTest, AccessorsExposeConfiguration) {

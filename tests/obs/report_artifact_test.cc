@@ -28,7 +28,7 @@ std::string TelemetryBody(int shard, int shards, double response_p99) {
   std::snprintf(
       buffer, sizeof(buffer),
       "{\n"
-      "  \"schema\": \"strip.telemetry/v3\",\n"
+      "  \"schema\": \"strip.telemetry/v4\",\n"
       "  \"run\": {\"policy\": \"OD\", \"staleness\": \"MA\", \"seed\": 7,"
       " \"shard\": %d, \"shards\": %d, \"sim_seconds\": 30,"
       " \"warmup_seconds\": 5, \"lambda_t\": 10, \"lambda_u\": 200,"
@@ -80,6 +80,19 @@ TEST(ReportArtifactTest, RejectsWrongSchema) {
   std::string error;
   EXPECT_FALSE(LoadTelemetryDoc(path, &error).has_value());
   EXPECT_NE(error.find(path), std::string::npos) << error;
+}
+
+// The reader follows the writer: a v3 document, which lacks v4's
+// interconnect counters, is refused with the schema it wants.
+TEST(ReportArtifactTest, RejectsTelemetryV3NamingV4) {
+  std::string body = TelemetryBody(0, 1, 0.4);
+  body.replace(body.find("strip.telemetry/v4"), 18, "strip.telemetry/v3");
+  const std::string path = WriteTemp("artifact_v3.json", body);
+  std::string error;
+  EXPECT_FALSE(LoadTelemetryDoc(path, &error).has_value());
+  EXPECT_NE(error.find("strip.telemetry/v3"), std::string::npos) << error;
+  EXPECT_NE(error.find("want strip.telemetry/v4"), std::string::npos)
+      << error;
 }
 
 TEST(ReportArtifactTest, RejectsMalformedJsonWithFileName) {

@@ -146,7 +146,7 @@ TEST(ReportDiffTest, DiffPathsRejectsMixedKinds) {
   const std::string bench = dir + "diff_kind_b.json";
   {
     std::ofstream t(telemetry);
-    t << "{\"schema\": \"strip.telemetry/v3\", \"run\": {},"
+    t << "{\"schema\": \"strip.telemetry/v4\", \"run\": {},"
          " \"metrics\": {}, \"histograms\": {}}";
     std::ofstream b(bench);
     b << "{\"context\": {}, \"benchmarks\": []}";

@@ -163,6 +163,18 @@ TEST(EventQueueTest, ReservedEventFiresInItsReservedPlace) {
   EXPECT_EQ(order, (std::vector<char>{'0', 'a', 'b', 'c'}));
 }
 
+TEST(EventQueueTest, ReservedBlockIsConsecutive) {
+  EventQueue queue;
+  const std::uint64_t first = queue.ReserveSequence(3);
+  EXPECT_EQ(queue.ReserveSequence(), first + 3);
+  std::vector<char> order;
+  queue.Schedule(1.0, [&] { order.push_back('c'); });
+  queue.ScheduleReserved(1.0, first + 2, [&] { order.push_back('b'); });
+  queue.ScheduleReserved(1.0, first, [&] { order.push_back('a'); });
+  while (auto event = queue.PopNext()) event->callback();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c'}));
+}
+
 TEST(EventQueueTest, ReservedEventCanBeCancelled) {
   EventQueue queue;
   auto handle = queue.ScheduleReserved(1.0, queue.ReserveSequence(), [] {});
