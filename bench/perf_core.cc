@@ -7,7 +7,8 @@
 // arrival pattern and an adversarial random one, On Demand's
 // peek-and-remove read sequence, the database apply,
 // staleness-tracker and ready-queue paths, and an end-to-end
-// 60-simulated-second baseline run, bare and with observers attached.
+// 60-simulated-second baseline run, bare and with observers attached,
+// plus the same run at uf_wide's 1M + 1M objects.
 //
 // CI runs this with --benchmark_min_time=0.1x and uploads the JSON:
 //   perf_core --benchmark_out=BENCH_core.json --benchmark_out_format=json
@@ -373,6 +374,47 @@ BENCHMARK(BM_SimEndToEnd60s)
     ->Arg(static_cast<int>(core::PolicyKind::kUpdateFirst))
     ->Arg(static_cast<int>(core::PolicyKind::kOnDemand))
     ->Unit(benchmark::kMillisecond);
+
+// The same run at uf_wide's shape: Update First on 1M + 1M objects with
+// a bursty feed (peak 2000 updates/s), so each install and expiry reads
+// per-object state far past L2. Each iteration times 60 simulated
+// seconds of steady state. Construction, the first 10 s and teardown
+// run with the timer paused: those 10 s hold the initial expiry wave at
+// alpha (2M expiries, about two thirds of a 0-60 s window), which
+// BM_StalenessTrackerWide already times.
+void BM_SimEndToEndWide(benchmark::State& state) {
+  constexpr double kWarmup = 10.0;
+  constexpr double kTimed = 60.0;
+  core::Config config;
+  config.policy = core::PolicyKind::kUpdateFirst;
+  config.n_low = 1'000'000;
+  config.n_high = 1'000'000;
+  config.bursty_updates = true;
+  config.lambda_u_peak = 2000.0;
+  config.sim_seconds = kWarmup + kTimed;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto simulator = std::make_unique<sim::Simulator>();
+    auto system = std::make_unique<core::System>(simulator.get(), config,
+                                                 base::RngSeed(1));
+    system->RunSlice(kWarmup);
+    const std::uint64_t warm = simulator->events_dispatched();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(system->RunSlice(kTimed));
+    state.PauseTiming();
+    events += simulator->events_dispatched() - warm;
+    system.reset();
+    simulator.reset();
+    state.ResumeTiming();
+  }
+  state.counters["sim_s_per_wall_s"] = benchmark::Counter(
+      kTimed * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+  state.counters["events_per_s"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SimEndToEndWide)->Unit(benchmark::kMillisecond);
 
 // Observer overhead: the same 60-simulated-second baseline run with
 // observers attached. Arg 0 runs bare (the bus's emptiness test only),

@@ -26,7 +26,9 @@
 #     fallback for remote reads, alone and with abort-on-stale,
 #     preemption and a warm-up;
 #   - wide populations at 1 shard (faults off), 200k + 200k objects:
-#     UF and OD under all four criteria, and UF with n_attributes=3.
+#     UF and OD under all four criteria, UF with n_attributes=3, and
+#     uf_wide's shape at 1/5 scale (UF, --bursty_updates=true
+#     --lambda_u_peak=2000) under MA and under MA-arrival.
 #
 # A run that exits non-zero on either side fails the check: two
 # identical error exits are not a match.
@@ -181,6 +183,12 @@ for policy in UF OD; do
 done
 run_pair "policy=UF --n_attributes=3 wide" --policy=UF "${WIDE[@]}" \
   --n_attributes=3
+# uf_wide's shape at 1/5 scale: its bursty feed into the wide view.
+for criterion in MA MA-arrival; do
+  run_pair "policy=UF bursty staleness=$criterion wide" --policy=UF \
+    "${WIDE[@]}" --bursty_updates=true --lambda_u_peak=2000 \
+    --staleness="$criterion"
+done
 
 if [ "$failures" -ne 0 ]; then
   echo "check_ab_identity: $failures of $configs configurations failed"

@@ -1,7 +1,14 @@
 #!/usr/bin/env bash
-# Every runner tool rejects a malformed number in a numeric flag
-# (--seed=abc, --reps=2x, --values=1e3x, ...) with exit 2 and an error
-# that names the flag, instead of running with a half-parsed value.
+# Every runner tool rejects a malformed value with exit 2 and an error
+# that names the flag, instead of running with a half-parsed value or
+# silently writing nothing:
+#
+#   - a malformed number in a numeric flag (--seed=abc, --reps=2x,
+#     --values=1e3x, ...);
+#   - an empty artifact path (--telemetry=, --chrome-trace=, --json=,
+#     --telemetry-dir=, --flight-dir=, --out-dir=), which would
+#     otherwise drop the artifact without a word.
+#
 # strip_replay likewise rejects a second trace path, naming both.
 #
 #   scripts/check_malformed_numbers.sh [BUILD_DIR]   # default: build
@@ -37,6 +44,8 @@ done
 expect_rejected --seed=abc "$SIM" --seed=abc
 expect_rejected --seed=-1 "$SIM" --seed=-1
 expect_rejected --reps=2x "$SIM" --reps=2x
+expect_rejected --telemetry= "$SIM" --telemetry=
+expect_rejected --chrome-trace= "$SIM" --chrome-trace=
 
 GRID=(--x=lambda_t --values=5 --sim_seconds=1 --progress=off)
 expect_rejected --values=1e3x,2000 "$SWEEP" --x=lambda_t --values=1e3x,2000
@@ -45,8 +54,13 @@ expect_rejected --seed=abc "$SWEEP" "${GRID[@]}" --seed=abc
 expect_rejected --reps=2x "$SWEEP" "${GRID[@]}" --reps=2x
 expect_rejected --jobs=two "$SWEEP" "${GRID[@]}" --jobs=two
 expect_rejected --cell-timeout=1s "$SWEEP" "${GRID[@]}" --cell-timeout=1s
+expect_rejected --json= "$SWEEP" "${GRID[@]}" --json=
+expect_rejected --telemetry-dir= "$SWEEP" "${GRID[@]}" --telemetry-dir=
+expect_rejected --flight-dir= "$SWEEP" "${GRID[@]}" --flight-dir=
+expect_rejected --out-dir= "$SWEEP" "${GRID[@]}" --out-dir=
 
 expect_rejected --seed=12ab "$REPLAY" trace.csv --seed=12ab
+expect_rejected --chrome-trace= "$REPLAY" trace.csv --chrome-trace=
 # A second trace path is an error naming both, not a silent override.
 expect_rejected a.csv "$REPLAY" a.csv b.csv
 expect_rejected b.csv "$REPLAY" a.csv b.csv
@@ -55,5 +69,6 @@ expect_rejected --seconds=2x "$FIGURES" fig08_scan_cost --seconds=2x
 expect_rejected --reps=2x "$FIGURES" fig08_scan_cost --reps=2x
 expect_rejected --seed=abc "$FIGURES" fig08_scan_cost --seed=abc
 expect_rejected --jobs=two "$FIGURES" fig08_scan_cost --jobs=two
+expect_rejected --json= "$FIGURES" fig08_scan_cost --json=
 
 echo "check_malformed_numbers: ok"

@@ -300,6 +300,12 @@ void System::InjectUpdate(const db::Update& update) {
 }
 
 void System::OnUpdateArrival(const db::Update& update) {
+  // The updater reads the object's slot when it dispatches this update
+  // (the worthiness check) and its slot and tracker state when the
+  // install completes: start those loads now, so that they overlap the
+  // work in between instead of stalling it.
+  database_.Prefetch(update.object);
+  tracker_.Prefetch(update.object);
   ++metrics_.updates_arrived;
   bus_.Notify(&SystemObserver::OnUpdateArrival, simulator_->now(), update);
   if (!os_queue_.Push(update)) {

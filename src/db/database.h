@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/prefetch.h"
 #include "db/object.h"
 #include "db/update.h"
 #include "sim/sim_time.h"
@@ -53,6 +54,17 @@ class Database {
   // worthy if strictly newer than the object's (effective) generation;
   // a partial update if strictly newer than its target attribute's.
   bool IsWorthy(const Update& update) const;
+
+  // Starts loading `id`'s slot into cache ahead of an IsWorthy or
+  // Apply on it. A hint only: it changes nothing observable, and an id
+  // out of range is ignored rather than checked. Always inlined, as
+  // base/prefetch.h explains.
+  [[gnu::always_inline]] void Prefetch(ObjectId id) const {
+    const std::vector<Slot>& slots = partition(id.cls).slots;
+    if (id.index >= 0 && static_cast<std::size_t>(id.index) < slots.size()) {
+      base::PrefetchForRead(&slots[id.index]);
+    }
+  }
 
   // Installs `update` if it is worthy. Returns true if the value was
   // written. Either way the caller pays the lookup cost; the write

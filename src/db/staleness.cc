@@ -12,6 +12,11 @@ constexpr auto kLaterExpiry = [](const auto& a, const auto& b) {
   return b.key < a.key;
 };
 
+// How many entries at the top of the heap OnExpiryTimer prefetches
+// after each pop: the new front and its two children, one of which is
+// the front after the next pop.
+constexpr std::size_t kExpiryLookahead = 3;
+
 }  // namespace
 
 const char* StalenessCriterionName(StalenessCriterion criterion) {
@@ -243,6 +248,14 @@ void StalenessTracker::OnExpiryTimer() {
       return;
     }
     PopExpiry(*next);
+    // The heap's next fronts are among its top entries, and the next
+    // supersession check and Refresh read their states: start those
+    // loads now.
+    const std::size_t ahead =
+        std::min(out_of_order_.size(), kExpiryLookahead);
+    for (std::size_t i = 0; i < ahead; ++i) {
+      Prefetch(out_of_order_[i].object);
+    }
     Refresh(next->object);
   }
 }

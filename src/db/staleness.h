@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/prefetch.h"
 #include "db/object.h"
 #include "db/update.h"
 #include "sim/simulator.h"
@@ -96,6 +97,18 @@ class StalenessTracker {
 
   // Is the object stale right now, under this tracker's criterion?
   bool IsStale(ObjectId id) const;
+
+  // Starts loading `id`'s state into cache ahead of an OnApply or an
+  // expiry on it. A hint only: it changes nothing observable, and an
+  // id out of range is ignored rather than checked. Always inlined, as
+  // base/prefetch.h explains.
+  [[gnu::always_inline]] void Prefetch(ObjectId id) const {
+    const std::vector<ObjectState>& objects = class_state(id.cls).objects;
+    if (id.index >= 0 &&
+        static_cast<std::size_t>(id.index) < objects.size()) {
+      base::PrefetchForRead(&objects[id.index]);
+    }
+  }
 
   // Number of currently stale objects in a partition.
   int StaleCount(ObjectClass cls) const {

@@ -59,6 +59,10 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
     } else if (std::strcmp(arg, "--csv") == 0) {
       args.csv = true;
     } else if (ConsumePrefix(arg, "--json=", &rest)) {
+      if (*rest == '\0') {
+        std::fprintf(stderr, "%s: --json= needs a path\n", argv[0]);
+        std::exit(2);
+      }
       args.json = rest;
     } else if (std::strcmp(arg, "--full") == 0) {
       args.seconds = 1000.0;

@@ -13,10 +13,10 @@
 //   --json=<path>        also write every emitted series to a JSON file
 //   --full               paper scale: 1000 simulated seconds, 3 reps
 //
-// A malformed number ("--reps=2x", "--seed=abc") exits 2 naming the
-// flag. The defaults trade a little precision for wall time so the
-// whole suite finishes in minutes; --full reproduces the paper's
-// 1000-second runs exactly.
+// A malformed number ("--reps=2x", "--seed=abc") or an empty --json=
+// path exits 2 naming the flag. The defaults trade a little precision
+// for wall time so the whole suite finishes in minutes; --full
+// reproduces the paper's 1000-second runs exactly.
 
 #ifndef STRIP_EXP_BENCH_ARGS_H_
 #define STRIP_EXP_BENCH_ARGS_H_

@@ -125,6 +125,27 @@ bool ParseShardSuffix(const std::string& name, std::string* stem,
   return true;
 }
 
+// Reads a host from a Google Benchmark context or a history snapshot's
+// "host" block; both use the context's keys.
+BenchHost ParseBenchHost(const JsonValue& object) {
+  BenchHost host;
+  const JsonValue* num_cpus = object.Find("num_cpus");
+  if (num_cpus == nullptr || !num_cpus->is_number()) return host;
+  host.known = true;
+  host.num_cpus = static_cast<int>(num_cpus->number_value);
+  host.mhz_per_cpu = object.NumberOr("mhz_per_cpu", 0);
+  if (const JsonValue* caches = object.Find("caches");
+      caches != nullptr && caches->is_array()) {
+    for (const JsonValue& cache : caches->items) {
+      if (!cache.is_object()) continue;
+      host.caches.push_back({static_cast<int>(cache.NumberOr("level", 0)),
+                             cache.StringOr("type", ""),
+                             cache.NumberOr("size", 0)});
+    }
+  }
+  return host;
+}
+
 }  // namespace
 
 std::optional<double> FindMetric(const MetricList& metrics,
@@ -341,6 +362,10 @@ std::optional<BenchDoc> LoadBenchDoc(const std::string& path,
     out.path = path;
     out.build_type = doc->StringOr("build_type", "unknown");
     out.lto = doc->StringOr("lto", "");
+    if (const JsonValue* host = doc->Find("host");
+        host != nullptr && host->is_object()) {
+      out.host = ParseBenchHost(*host);
+    }
     const JsonValue* entries = doc->Find("entries");
     if (entries == nullptr || !entries->is_array()) {
       SetError(error, path, "missing entries array");
@@ -379,6 +404,7 @@ std::optional<BenchDoc> LoadBenchDoc(const std::string& path,
     out.build_type = context->StringOr(
         "strip_build_type", context->StringOr("library_build_type", ""));
     out.lto = context->StringOr("strip_lto", "");
+    out.host = ParseBenchHost(*context);
   }
   if (out.build_type.empty()) out.build_type = "unknown";
 

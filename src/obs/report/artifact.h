@@ -112,12 +112,30 @@ struct BenchEntry {
   double cpu_time_ns = 0;
 };
 
+// The host a benchmark document was captured on: the CPU count, clock
+// and cache sizes Google Benchmark writes into its context, which a
+// history snapshot repeats in its "host" block.
+struct BenchHost {
+  struct Cache {
+    int level = 0;
+    std::string type;  // "Data", "Instruction" or "Unified"
+    double size_bytes = 0;
+  };
+  // False when the document records no host (no num_cpus), as in a
+  // history snapshot written before hosts were recorded.
+  bool known = false;
+  int num_cpus = 0;
+  double mhz_per_cpu = 0;
+  std::vector<Cache> caches;
+};
+
 struct BenchDoc {
   std::string path;
   // The repo's own stamp ("release"/"debug"; see bench/perf_core) with
   // the library's library_build_type as fallback, "unknown" if neither.
   std::string build_type;
   std::string lto;  // "on"/"off"/"" when unstamped
+  BenchHost host;
   std::vector<BenchEntry> entries;
 
   const BenchEntry* FindEntry(const std::string& name) const;

@@ -2,10 +2,56 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "obs/report/format.h"
 
 namespace strip::obs::report {
+namespace {
+
+std::string CacheLabel(const BenchHost::Cache& cache) {
+  std::ostringstream label;
+  label << "L" << cache.level << " " << cache.type << " cache";
+  return label.str();
+}
+
+const BenchHost::Cache* FindCache(const BenchHost& host,
+                                  const BenchHost::Cache& like) {
+  for (const BenchHost::Cache& cache : host.caches) {
+    if (cache.level == like.level && cache.type == like.type) return &cache;
+  }
+  return nullptr;
+}
+
+// Every field in which two known hosts differ, as "field base vs new".
+std::vector<std::string> HostDifferences(const BenchHost& base,
+                                         const BenchHost& next) {
+  std::vector<std::string> out;
+  const auto compare = [&out](const std::string& field, const std::string& a,
+                              const std::string& b) {
+    if (a != b) out.push_back(field + " " + a + " vs " + b);
+  };
+  const auto size = [](const BenchHost::Cache* cache) {
+    return cache == nullptr ? std::string("none")
+                            : FormatNumber(cache->size_bytes) + " B";
+  };
+  compare("num_cpus", std::to_string(base.num_cpus),
+          std::to_string(next.num_cpus));
+  compare("mhz_per_cpu", FormatNumber(base.mhz_per_cpu),
+          FormatNumber(next.mhz_per_cpu));
+  for (const BenchHost::Cache& cache : base.caches) {
+    compare(CacheLabel(cache), size(&cache), size(FindCache(next, cache)));
+  }
+  for (const BenchHost::Cache& cache : next.caches) {
+    if (FindCache(base, cache) == nullptr) {
+      compare(CacheLabel(cache), size(nullptr), size(&cache));
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 double BenchDiffOptions::ToleranceFor(const std::string& family) const {
   for (const auto& [prefix, pct] : family_tolerance) {
@@ -28,6 +74,22 @@ BenchDiffReport BenchDiff(const BenchDoc& base, const BenchDoc& next,
     if (!options.allow_build_mismatch) {
       report.build_mismatch = true;
     }
+  }
+  if (!base.host.known || !next.host.known) {
+    const char* unknown = !base.host.known
+                              ? (!next.host.known ? "base and new" : "base")
+                              : "new";
+    report.notes.push_back(std::string("host unknown for ") + unknown +
+                           ": cannot tell whether both ran on one host");
+  } else if (const std::vector<std::string> differences =
+                 HostDifferences(base.host, next.host);
+             !differences.empty()) {
+    std::string note = "host mismatch:";
+    for (std::size_t i = 0; i < differences.size(); ++i) {
+      note += (i ? ", " : " ") + differences[i];
+    }
+    report.notes.push_back(note);
+    report.host_mismatch = true;
   }
   if (base.build_type == "debug" || next.build_type == "debug") {
     report.notes.push_back(
@@ -128,6 +190,8 @@ std::string BenchDiffJson(const BenchDiffReport& report) {
       << "  \"build_type_new\": \"" << report.build_type_new << "\",\n"
       << "  \"build_mismatch\": "
       << (report.build_mismatch ? "true" : "false") << ",\n"
+      << "  \"host_mismatch\": "
+      << (report.host_mismatch ? "true" : "false") << ",\n"
       << "  \"regressions\": " << report.regressions << ",\n"
       << "  \"improvements\": " << report.improvements << ",\n"
       << "  \"gate\": \"" << (report.Exceeds() ? "fail" : "pass")
@@ -171,8 +235,20 @@ std::string BenchHistorySnapshot(const BenchDoc& doc,
       << "  \"schema\": \"strip.bench-history/v1\",\n"
       << "  \"label\": \"" << label << "\",\n"
       << "  \"build_type\": \"" << doc.build_type << "\",\n"
-      << "  \"lto\": \"" << doc.lto << "\",\n"
-      << "  \"entries\": [";
+      << "  \"lto\": \"" << doc.lto << "\",\n";
+  if (doc.host.known) {
+    out << "  \"host\": {\"num_cpus\": " << doc.host.num_cpus
+        << ", \"mhz_per_cpu\": " << FormatNumber(doc.host.mhz_per_cpu)
+        << ", \"caches\": [";
+    for (std::size_t i = 0; i < doc.host.caches.size(); ++i) {
+      const BenchHost::Cache& cache = doc.host.caches[i];
+      out << (i ? ", " : "") << "{\"type\": \"" << cache.type
+          << "\", \"level\": " << cache.level
+          << ", \"size\": " << FormatNumber(cache.size_bytes) << "}";
+    }
+    out << "]},\n";
+  }
+  out << "  \"entries\": [";
   for (std::size_t i = 0; i < doc.entries.size(); ++i) {
     const BenchEntry& entry = doc.entries[i];
     out << (i ? ",\n" : "\n") << "    {\"name\": \"" << entry.name

@@ -15,7 +15,10 @@
 //    default tolerance per name prefix;
 //  - build-type honesty: the comparison refuses to gate a debug binary
 //    against a release baseline (the repo stamps context with
-//    strip_build_type precisely for this).
+//    strip_build_type precisely for this);
+//  - host honesty: it likewise refuses to gate numbers from two hosts
+//    whose CPU count, clock or cache sizes differ, naming each field
+//    that differs. A document that records no host only earns a note.
 //
 // The same module writes the checked-in docs/bench_history/ trajectory
 // snapshots (strip.bench-history/v1), which LoadBenchDoc also accepts
@@ -65,6 +68,8 @@ struct BenchDiffReport {
   std::string build_type_base;
   std::string build_type_new;
   bool build_mismatch = false;
+  // Both documents record a host, and the hosts differ.
+  bool host_mismatch = false;
   std::vector<std::string> notes;
   std::vector<BenchDiffRow> rows;
   std::vector<std::string> added;    // benchmarks only in NEW
@@ -72,10 +77,11 @@ struct BenchDiffReport {
   int regressions = 0;
   int improvements = 0;
 
-  // The gate verdict: regressions, a refused build mismatch, or
-  // benchmarks that disappeared.
+  // The gate verdict: regressions, a refused build mismatch, a host
+  // mismatch, or benchmarks that disappeared.
   bool Exceeds() const {
-    return regressions > 0 || build_mismatch || !removed.empty();
+    return regressions > 0 || build_mismatch || host_mismatch ||
+           !removed.empty();
   }
 };
 
@@ -91,7 +97,8 @@ std::string BenchDiffMarkdown(const BenchDiffReport& report);
 std::string BenchDiffJson(const BenchDiffReport& report);
 
 // A deterministic strip.bench-history/v1 snapshot of `doc` (min-of-N
-// entries plus the build stamp) for checking into docs/bench_history/.
+// entries plus the build stamp and, when known, the host) for checking
+// into docs/bench_history/.
 std::string BenchHistorySnapshot(const BenchDoc& doc,
                                  const std::string& label);
 

@@ -170,6 +170,35 @@ TEST(PartialUpdateDeathTest, AttributeOutOfRangeDies) {
   EXPECT_DEATH(db.attribute_generation(id, 5), "attribute");
 }
 
+// Prefetch is a hint: on a valid, an out-of-range or a negative id it
+// never check-fails and leaves every observable as it was.
+TEST(DatabaseTest, PrefetchChangesNothingObservable) {
+  Database db(10, 10);
+  const ObjectId id{ObjectClass::kLowImportance, 4};
+  ASSERT_TRUE(db.Apply(MakeUpdate(id, 5.0, 42.0)));
+  ASSERT_FALSE(db.Apply(MakeUpdate(id, 3.0, 7.0)));
+  db.Prefetch(id);
+  db.Prefetch({ObjectClass::kHighImportance, 10});
+  db.Prefetch({ObjectClass::kLowImportance, -1});
+  EXPECT_DOUBLE_EQ(db.generation_time(id), 5.0);
+  EXPECT_DOUBLE_EQ(db.value(id), 42.0);
+  EXPECT_EQ(db.writes(), 1u);
+  EXPECT_EQ(db.skipped_writes(), 1u);
+  for (const ObjectClass cls :
+       {ObjectClass::kLowImportance, ObjectClass::kHighImportance}) {
+    for (int i = 0; i < db.size(cls); ++i) {
+      const ObjectId other{cls, i};
+      if (other == id) continue;
+      EXPECT_DOUBLE_EQ(db.generation_time(other), 0.0);
+      EXPECT_DOUBLE_EQ(db.value(other), 0.0);
+    }
+  }
+  // An empty partition has no slot to load.
+  const Database empty(0, 0);
+  empty.Prefetch({ObjectClass::kLowImportance, 0});
+  EXPECT_EQ(empty.total_size(), 0);
+}
+
 TEST(ObjectClassTest, Names) {
   EXPECT_STREQ(ObjectClassName(ObjectClass::kLowImportance), "low");
   EXPECT_STREQ(ObjectClassName(ObjectClass::kHighImportance), "high");

@@ -1,5 +1,7 @@
 #include "db/staleness.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/simulator.h"
@@ -302,6 +304,36 @@ TEST(StalenessTrackerTest, HighPartitionIsIndependent) {
                    0.5);
   EXPECT_DOUBLE_EQ(tracker.FractionStaleNow(ObjectClass::kLowImportance),
                    0.0);
+}
+
+// Prefetch is a hint: on a valid, an out-of-range or a negative id it
+// never check-fails and leaves every observable as it was, the pending
+// expiries included.
+TEST(StalenessTrackerTest, PrefetchChangesNothingObservable) {
+  sim::Simulator sim;
+  StalenessTracker tracker(&sim, StalenessCriterion::kMaxAge, 7.0, 2, 2);
+  sim.RunUntil(7.5);
+  tracker.OnApply(kObj, 7.0);
+  const auto observe = [&] {
+    return std::vector<double>{
+        static_cast<double>(tracker.StaleCount(ObjectClass::kLowImportance)),
+        static_cast<double>(tracker.StaleCount(ObjectClass::kHighImportance)),
+        static_cast<double>(tracker.IsStale(kObj)),
+        static_cast<double>(tracker.IsStale(kHighObj)),
+        tracker.FractionStaleAverage(ObjectClass::kLowImportance, 8.0),
+        tracker.FractionStaleAverage(ObjectClass::kHighImportance, 8.0)};
+  };
+  const std::vector<double> before = observe();
+  tracker.Prefetch(kObj);
+  tracker.Prefetch({ObjectClass::kHighImportance, 2});
+  tracker.Prefetch({ObjectClass::kLowImportance, -1});
+  EXPECT_EQ(observe(), before);
+  EXPECT_FALSE(tracker.IsStale(kObj));
+  EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 1);
+  // The refreshed object still expires alpha after its generation.
+  sim.RunUntil(14.5);
+  EXPECT_TRUE(tracker.IsStale(kObj));
+  EXPECT_EQ(tracker.StaleCount(ObjectClass::kLowImportance), 2);
 }
 
 TEST(StalenessTrackerDeathTest, InvalidUse) {

@@ -1,10 +1,11 @@
 // The perf-regression gate: a synthetic 2× slowdown must be rejected,
-// the baseline against itself must pass, build-type mismatches are
-// refused, per-family tolerances override the default, and the
-// history snapshot round-trips through LoadBenchDoc as a BASE.
+// the baseline against itself must pass, build-type and host
+// mismatches are refused, per-family tolerances override the default,
+// and the history snapshot round-trips through LoadBenchDoc as a BASE.
 
 #include <fstream>
 #include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -136,6 +137,151 @@ TEST(ReportBenchDiffTest, HistorySnapshotRoundTripsAsBase) {
       BenchDiff(*reloaded, MakeDoc("release", 2e6, 2e3),
                 BenchDiffOptions{});
   EXPECT_EQ(report.regressions, 1);
+}
+
+// The host perf_core's baseline was captured on: 1 CPU at 2,100 MHz
+// with a 48 KiB L1d, a 32 KiB L1i, a 2 MiB L2 and a 260 MiB L3.
+BenchHost MakeHost() {
+  BenchHost host;
+  host.known = true;
+  host.num_cpus = 1;
+  host.mhz_per_cpu = 2100;
+  host.caches = {{1, "Data", 49152},
+                 {1, "Instruction", 32768},
+                 {2, "Unified", 2097152},
+                 {3, "Unified", 272629760}};
+  return host;
+}
+
+BenchDoc MakeHostedDoc(const BenchHost& host) {
+  BenchDoc doc = MakeDoc("release", 1e6, 2e3);
+  doc.host = host;
+  return doc;
+}
+
+bool HasNoteWith(const BenchDiffReport& report, const std::string& text) {
+  for (const std::string& note : report.notes) {
+    if (note.find(text) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(ReportBenchDiffTest, SameHostPasses) {
+  const BenchDoc doc = MakeHostedDoc(MakeHost());
+  const BenchDiffReport report = BenchDiff(doc, doc, BenchDiffOptions{});
+  EXPECT_FALSE(report.host_mismatch);
+  EXPECT_FALSE(report.Exceeds());
+  EXPECT_TRUE(report.notes.empty());
+}
+
+TEST(ReportBenchDiffTest, EachDifferingHostFieldFailsAndIsNamed) {
+  const BenchDoc base = MakeHostedDoc(MakeHost());
+  struct Case {
+    const char* field;
+    void (*mutate)(BenchHost&);
+  };
+  const Case cases[] = {
+      {"num_cpus 1 vs 4", [](BenchHost& h) { h.num_cpus = 4; }},
+      {"mhz_per_cpu 2100 vs 2400", [](BenchHost& h) { h.mhz_per_cpu = 2400; }},
+      {"L1 Data cache 49152 B vs 32768 B",
+       [](BenchHost& h) { h.caches[0].size_bytes = 32768; }},
+      {"L1 Instruction cache 32768 B vs 65536 B",
+       [](BenchHost& h) { h.caches[1].size_bytes = 65536; }},
+      {"L2 Unified cache 2097152 B vs 1048576 B",
+       [](BenchHost& h) { h.caches[2].size_bytes = 1048576; }},
+      {"L3 Unified cache 272629760 B vs none",
+       [](BenchHost& h) { h.caches.pop_back(); }},
+  };
+  BenchHost all = MakeHost();
+  for (const Case& c : cases) {
+    BenchHost host = MakeHost();
+    c.mutate(host);
+    c.mutate(all);
+    const BenchDiffReport report =
+        BenchDiff(base, MakeHostedDoc(host), BenchDiffOptions{});
+    EXPECT_TRUE(report.host_mismatch) << c.field;
+    EXPECT_TRUE(report.Exceeds()) << c.field;
+    EXPECT_TRUE(HasNoteWith(report, c.field)) << c.field;
+    EXPECT_NE(BenchDiffMarkdown(report).find("FAIL"), std::string::npos);
+  }
+  // A host that differs in every field names every field in one note.
+  const BenchDiffReport report =
+      BenchDiff(base, MakeHostedDoc(all), BenchDiffOptions{});
+  EXPECT_TRUE(report.Exceeds());
+  for (const Case& c : cases) {
+    EXPECT_TRUE(HasNoteWith(report, c.field)) << c.field;
+  }
+  // A cache only the new host has is named too.
+  BenchHost extra = MakeHost();
+  extra.caches.push_back({4, "Unified", 1 << 20});
+  EXPECT_TRUE(HasNoteWith(
+      BenchDiff(base, MakeHostedDoc(extra), BenchDiffOptions{}),
+      "L4 Unified cache none vs 1048576 B"));
+}
+
+TEST(ReportBenchDiffTest, UnknownHostOnlyNotes) {
+  const BenchDoc known = MakeHostedDoc(MakeHost());
+  const BenchDoc unknown = MakeDoc("release", 1e6, 2e3);
+  ASSERT_FALSE(unknown.host.known);
+  for (const auto& [base, next, side] :
+       {std::tuple{&unknown, &known, "host unknown for base"},
+        std::tuple{&known, &unknown, "host unknown for new"},
+        std::tuple{&unknown, &unknown, "host unknown for base and new"}}) {
+    const BenchDiffReport report = BenchDiff(*base, *next, BenchDiffOptions{});
+    EXPECT_FALSE(report.host_mismatch) << side;
+    EXPECT_FALSE(report.Exceeds()) << side;
+    EXPECT_TRUE(HasNoteWith(report, side)) << side;
+  }
+}
+
+TEST(ReportBenchDiffTest, HostRoundTripsThroughContextAndSnapshot) {
+  // Google Benchmark's context, as perf_core writes it.
+  const std::string context_path =
+      ::testing::TempDir() + "bench_host_context.json";
+  {
+    std::ofstream out(context_path, std::ios::binary | std::ios::trunc);
+    out << R"({"context": {"num_cpus": 1, "mhz_per_cpu": 2100,
+      "caches": [
+        {"type": "Data", "level": 1, "size": 49152, "num_sharing": 1},
+        {"type": "Instruction", "level": 1, "size": 32768, "num_sharing": 1},
+        {"type": "Unified", "level": 2, "size": 2097152, "num_sharing": 1},
+        {"type": "Unified", "level": 3, "size": 272629760, "num_sharing": 1}
+      ], "strip_build_type": "release", "strip_lto": "on"},
+      "benchmarks": [{"name": "BM_Queue", "run_type": "iteration",
+        "real_time": 2200, "cpu_time": 2000, "time_unit": "ns"}]})";
+  }
+  std::string error;
+  const auto captured = LoadBenchDoc(context_path, &error);
+  ASSERT_TRUE(captured.has_value()) << error;
+  const BenchHost& host = captured->host;
+  EXPECT_TRUE(host.known);
+  EXPECT_EQ(host.num_cpus, 1);
+  EXPECT_DOUBLE_EQ(host.mhz_per_cpu, 2100);
+  ASSERT_EQ(host.caches.size(), 4u);
+  EXPECT_EQ(host.caches[2].level, 2);
+  EXPECT_EQ(host.caches[2].type, "Unified");
+  EXPECT_DOUBLE_EQ(host.caches[2].size_bytes, 2097152);
+
+  // The snapshot carries the host, and reloads on the same host.
+  const std::string snapshot = BenchHistorySnapshot(*captured, "hosted");
+  EXPECT_NE(snapshot.find("\"host\": {\"num_cpus\": 1"), std::string::npos);
+  const std::string snapshot_path =
+      ::testing::TempDir() + "bench_host_snapshot.json";
+  {
+    std::ofstream out(snapshot_path, std::ios::binary | std::ios::trunc);
+    out << snapshot;
+  }
+  const auto reloaded = LoadBenchDoc(snapshot_path, &error);
+  ASSERT_TRUE(reloaded.has_value()) << error;
+  const BenchDiffReport report =
+      BenchDiff(*reloaded, *captured, BenchDiffOptions{});
+  EXPECT_FALSE(report.host_mismatch);
+  EXPECT_TRUE(report.notes.empty());
+
+  // A document without a host writes no host block.
+  EXPECT_EQ(BenchHistorySnapshot(MakeDoc("release", 1e6, 2e3), "bare")
+                .find("\"host\""),
+            std::string::npos);
 }
 
 TEST(ReportBenchDiffTest, JsonReportIsDeterministic) {

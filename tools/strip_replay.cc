@@ -59,6 +59,10 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--chrome-trace=", 0) == 0) {
       chrome_trace_path = arg.substr(15);
+      if (chrome_trace_path.empty()) {
+        std::fprintf(stderr, "strip_replay: --chrome-trace= needs a path\n");
+        return 2;
+      }
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg.rfind("--", 0) == 0) {

@@ -22,10 +22,12 @@
 //               [--warn-only] [--md=PATH] [--json=PATH]
 //               [--snapshot=PATH] [--label=NAME]
 //     Noise-aware benchmark comparison (min-of-N, cpu-time gated,
-//     per-family tolerance, build-type checked). Exits 1 on
-//     regression unless --warn-only. --snapshot writes NEW as a
-//     strip.bench-history/v1 document (the docs/bench_history/
-//     trajectory format, itself accepted as a BASE).
+//     per-family tolerance, build type and host checked). Exits 1 on
+//     a regression, a build-type mismatch or a host mismatch (CPU
+//     count, clock or a cache size) unless --warn-only. --snapshot
+//     writes NEW as a strip.bench-history/v1 document (the
+//     docs/bench_history/ trajectory format, itself accepted as a
+//     BASE).
 //
 // All outputs are byte-deterministic: same inputs, same bytes.
 

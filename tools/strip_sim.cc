@@ -172,8 +172,16 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--telemetry=", 0) == 0) {
       telemetry_path = arg.substr(12);
+      if (telemetry_path.empty()) {
+        std::fprintf(stderr, "strip_sim: --telemetry= needs a path\n");
+        return 2;
+      }
     } else if (arg.rfind("--chrome-trace=", 0) == 0) {
       chrome_trace_path = arg.substr(15);
+      if (chrome_trace_path.empty()) {
+        std::fprintf(stderr, "strip_sim: --chrome-trace= needs a path\n");
+        return 2;
+      }
     } else if (arg == "--audit") {
       audit = true;
     } else if (arg == "--print-config") {

@@ -115,6 +115,15 @@ std::vector<std::string> SplitCommas(const std::string& list) {
   std::exit(2);
 }
 
+// The value of a PATH or DIR flag: `arg` past its first `prefix_length`
+// characters. An empty one would silently write nothing, so it exits 2
+// naming the flag.
+std::string PathOrFail(const std::string& arg, std::size_t prefix_length) {
+  std::string path = arg.substr(prefix_length);
+  if (path.empty()) Fail(arg + " needs a path");
+  return path;
+}
+
 PolicyKind ParsePolicy(const std::string& name) {
   for (PolicyKind kind :
        {PolicyKind::kUpdateFirst, PolicyKind::kTransactionFirst,
@@ -207,13 +216,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--csv") {
       csv = true;
     } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
+      json_path = PathOrFail(arg, 7);
     } else if (arg.rfind("--telemetry-dir=", 0) == 0) {
-      telemetry_dir = arg.substr(16);
+      telemetry_dir = PathOrFail(arg, 16);
     } else if (arg.rfind("--flight-dir=", 0) == 0) {
-      flight_dir = arg.substr(13);
+      flight_dir = PathOrFail(arg, 13);
     } else if (arg.rfind("--out-dir=", 0) == 0) {
-      out_dir = arg.substr(10);
+      out_dir = PathOrFail(arg, 10);
     } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--audit") {
