@@ -8,7 +8,8 @@
 // peek-and-remove read sequence, the database apply,
 // staleness-tracker and ready-queue paths, and an end-to-end
 // 60-simulated-second baseline run, bare and with observers attached,
-// plus the same run at uf_wide's 1M + 1M objects.
+// plus the same run and the System's set-up at uf_wide's 1M + 1M
+// objects.
 //
 // CI runs this with --benchmark_min_time=0.1x and uploads the JSON:
 //   perf_core --benchmark_out=BENCH_core.json --benchmark_out_format=json
@@ -375,22 +376,48 @@ BENCHMARK(BM_SimEndToEnd60s)
     ->Arg(static_cast<int>(core::PolicyKind::kOnDemand))
     ->Unit(benchmark::kMillisecond);
 
-// The same run at uf_wide's shape: Update First on 1M + 1M objects with
-// a bursty feed (peak 2000 updates/s), so each install and expiry reads
-// per-object state far past L2. Each iteration times 60 simulated
-// seconds of steady state. Construction, the first 10 s and teardown
-// run with the timer paused: those 10 s hold the initial expiry wave at
-// alpha (2M expiries, about two thirds of a 0-60 s window), which
-// BM_StalenessTrackerWide already times.
-void BM_SimEndToEndWide(benchmark::State& state) {
-  constexpr double kWarmup = 10.0;
-  constexpr double kTimed = 60.0;
+// uf_wide's shape: Update First on 1M + 1M objects with a bursty feed
+// (peak 2000 updates/s), so each install and expiry reads per-object
+// state far past L2.
+core::Config WideConfig() {
   core::Config config;
   config.policy = core::PolicyKind::kUpdateFirst;
   config.n_low = 1'000'000;
   config.n_high = 1'000'000;
   config.bursty_updates = true;
   config.lambda_u_peak = 2000.0;
+  return config;
+}
+
+// uf_wide's set-up: construct and destroy its System. The per-object
+// arrays (database slots, tracker state and stale flags) set the cost,
+// which depends on what the process allocated before: glibc may serve
+// plain blocks from heap pages an earlier benchmark already faulted
+// in. Run alone (--benchmark_filter=BM_SystemSetupWide) it times the
+// set-up a fresh process pays.
+void BM_SystemSetupWide(benchmark::State& state) {
+  const core::Config config = WideConfig();
+  for (auto _ : state) {
+    sim::Simulator simulator;
+    core::System system(&simulator, config, base::RngSeed(1));
+    benchmark::DoNotOptimize(&system);
+  }
+  state.counters["objects_per_s"] = benchmark::Counter(
+      static_cast<double>(config.n_low + config.n_high) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SystemSetupWide)->Unit(benchmark::kMillisecond);
+
+// The 60-simulated-second run at uf_wide's shape. Each iteration times
+// 60 simulated seconds of steady state. Construction, the first 10 s
+// and teardown run with the timer paused: those 10 s hold the initial
+// expiry wave at alpha (2M expiries, about two thirds of a 0-60 s
+// window), which BM_StalenessTrackerWide already times.
+void BM_SimEndToEndWide(benchmark::State& state) {
+  constexpr double kWarmup = 10.0;
+  constexpr double kTimed = 60.0;
+  core::Config config = WideConfig();
   config.sim_seconds = kWarmup + kTimed;
   std::uint64_t events = 0;
   for (auto _ : state) {

@@ -4,10 +4,13 @@
 # silently writing nothing:
 #
 #   - a malformed number in a numeric flag (--seed=abc, --reps=2x,
-#     --values=1e3x, ...);
+#     --values=1e3x, ...), and in strip_report an empty, nan or inf
+#     threshold or tolerance, which would otherwise read as 0 or turn
+#     the gate off;
 #   - an empty artifact path (--telemetry=, --chrome-trace=, --json=,
-#     --telemetry-dir=, --flight-dir=, --out-dir=), which would
-#     otherwise drop the artifact without a word.
+#     --telemetry-dir=, --flight-dir=, --out-dir=, --md=, --csv=,
+#     --snapshot=), which would otherwise drop the artifact without a
+#     word.
 #
 # strip_replay likewise rejects a second trace path, naming both.
 #
@@ -37,7 +40,8 @@ SIM="$BUILD/tools/strip_sim"
 SWEEP="$BUILD/tools/strip_sweep"
 REPLAY="$BUILD/tools/strip_replay"
 FIGURES="$BUILD/bench/figures"
-for tool in "$SIM" "$SWEEP" "$REPLAY" "$FIGURES"; do
+REPORT="$BUILD/tools/strip_report"
+for tool in "$SIM" "$SWEEP" "$REPLAY" "$FIGURES" "$REPORT"; do
   [ -x "$tool" ] || { echo "missing $tool (build first)"; exit 2; }
 done
 
@@ -70,5 +74,35 @@ expect_rejected --reps=2x "$FIGURES" fig08_scan_cost --reps=2x
 expect_rejected --seed=abc "$FIGURES" fig08_scan_cost --seed=abc
 expect_rejected --jobs=two "$FIGURES" fig08_scan_cost --jobs=two
 expect_rejected --json= "$FIGURES" fig08_scan_cost --json=
+
+expect_rejected --threshold "$REPORT" diff a.json b.json --threshold=nan
+expect_rejected --threshold "$REPORT" diff a.json b.json --threshold=
+expect_rejected --md= "$REPORT" diff a.json b.json --md=
+expect_rejected --json= "$REPORT" diff a.json b.json --json=
+expect_rejected --md= "$REPORT" summarize sweep_dir --md=
+expect_rejected --csv= "$REPORT" summarize sweep_dir --csv=
+expect_rejected --tolerance "$REPORT" bench-diff a.json b.json --tolerance=inf
+expect_rejected --tolerance "$REPORT" bench-diff a.json b.json --tolerance=
+expect_rejected --family "$REPORT" bench-diff a.json b.json --family=BM_:nan
+expect_rejected --md= "$REPORT" bench-diff a.json b.json --md=
+expect_rejected --json= "$REPORT" bench-diff a.json b.json --json=
+expect_rejected --snapshot= "$REPORT" bench-diff a.json b.json --snapshot=
+
+# The gate a NaN tolerance would turn off: a 3x slowdown fails it, and
+# --tolerance=nan is refused rather than read as "no limit".
+DOCS="$(mktemp -d)"
+trap 'rm -rf "$DOCS"' EXIT
+bench_doc() {
+  echo '{"benchmarks": [{"name": "BM_Gate", "run_type": "iteration",' \
+    "\"real_time\": $1, \"cpu_time\": $1, \"time_unit\": \"ns\"}]}"
+}
+bench_doc 100 > "$DOCS/base.json"
+bench_doc 300 > "$DOCS/slow.json"
+status=0
+"$REPORT" bench-diff "$DOCS/base.json" "$DOCS/slow.json" > /dev/null 2>&1 ||
+  status=$?
+[ "$status" -eq 1 ] || fail "a 3x slowdown exited $status, want 1"
+expect_rejected --tolerance "$REPORT" bench-diff "$DOCS/base.json" \
+  "$DOCS/slow.json" --tolerance=nan
 
 echo "check_malformed_numbers: ok"

@@ -22,8 +22,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "base/huge_pages.h"
 #include "base/prefetch.h"
 #include "db/object.h"
 #include "db/update.h"
@@ -60,7 +60,7 @@ class Database {
   // out of range is ignored rather than checked. Always inlined, as
   // base/prefetch.h explains.
   [[gnu::always_inline]] void Prefetch(ObjectId id) const {
-    const std::vector<Slot>& slots = partition(id.cls).slots;
+    const auto& slots = partition(id.cls).slots;
     if (id.index >= 0 && static_cast<std::size_t>(id.index) < slots.size()) {
       base::PrefetchForRead(&slots[id.index]);
     }
@@ -107,11 +107,13 @@ class Database {
     double value = 0;
   };
 
+  // Both arrays sit on huge pages once they reach 2 MiB
+  // (base/huge_pages.h).
   struct Partition {
-    std::vector<Slot> slots;
+    base::HugePageVector<Slot> slots;
     // n_attributes_ generations per object, object by object; empty
     // when n_attributes_ is 1.
-    std::vector<sim::Time> attribute_generations;
+    base::HugePageVector<sim::Time> attribute_generations;
   };
 
   const Partition& partition(ObjectClass cls) const {

@@ -18,6 +18,7 @@
 #include <optional>
 #include <vector>
 
+#include "base/huge_pages.h"
 #include "db/object.h"
 #include "sim/sim_time.h"
 
@@ -67,8 +68,9 @@ class HistoryStore {
   Ring& ring(ObjectId id);
 
   int depth_;
-  std::vector<Ring> low_;
-  std::vector<Ring> high_;
+  // One ring per object; on huge pages once 2 MiB (base/huge_pages.h).
+  base::HugePageVector<Ring> low_;
+  base::HugePageVector<Ring> high_;
   std::uint64_t recorded_ = 0;
 };
 

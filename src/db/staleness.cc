@@ -43,7 +43,7 @@ StalenessTracker::StalenessTracker(sim::Simulator* simulator,
                                    sim::Duration max_age, int n_low,
                                    int n_high)
     : simulator_(simulator), criterion_(criterion), max_age_(max_age) {
-  static_assert(sizeof(ObjectState) == 24);
+  static_assert(sizeof(ObjectState) == 16);
   STRIP_CHECK(simulator != nullptr);
   STRIP_CHECK_MSG(n_low >= 0 && n_high >= 0, "negative partition size");
   if (UsesMaxAge()) {
@@ -69,6 +69,9 @@ StalenessTracker::StalenessTracker(sim::Simulator* simulator,
           {.expiry_sequence = initial_size_ > 0 ? sequence++ : kNoExpiry});
     }
     cls.stale.assign(sizes[c], initially_stale);
+    if (criterion_ == StalenessCriterion::kMaxAgeArrival) {
+      cls.arrival.resize(sizes[c]);
+    }
     cls.stale_count.StartAt(now, initially_stale ? sizes[c] : 0);
   }
   if (initial_size_ > 0) ArmTimer(RunFront().key);
@@ -97,13 +100,21 @@ std::vector<StalenessTracker::QueuedKey>& StalenessTracker::QueuedKeys(
   return cls.queued[CheckedIndex(id)];
 }
 
+sim::Time StalenessTracker::Freshness(ObjectId id,
+                                      const ObjectState& s) const {
+  if (criterion_ == StalenessCriterion::kMaxAgeArrival) {
+    return class_state(id.cls).arrival[id.index];
+  }
+  return s.db_generation;
+}
+
 bool StalenessTracker::ComputeStale(ObjectId id) const {
   const ObjectState& s = state(id);
   // >= so the flag flips when the expiry fires at freshness + max_age
   // (the boundary itself has measure zero). Rounding can leave
   // fl(freshness + max_age) - freshness just under max_age; the flag
   // then stays fresh until the object's next refresh.
-  const bool ma_stale = simulator_->now() - s.freshness >= max_age_;
+  const bool ma_stale = simulator_->now() - Freshness(id, s) >= max_age_;
   const auto uu_stale = [&] {
     const auto& queued = class_state(id.cls).queued;
     if (queued.empty()) return false;
@@ -133,7 +144,7 @@ void StalenessTracker::Refresh(ObjectId id) {
 
 void StalenessTracker::ScheduleExpiry(ObjectId id) {
   ObjectState& s = state(id);
-  const sim::Time expiry_time = s.freshness + max_age_;
+  const sim::Time expiry_time = Freshness(id, s) + max_age_;
   if (expiry_time <= simulator_->now()) {
     // Already older than alpha — stale immediately; no expiry needed.
     s.expiry_sequence = kNoExpiry;
@@ -272,9 +283,9 @@ void StalenessTracker::OnApply(ObjectId id, sim::Time generation_time,
   STRIP_CHECK_MSG(generation_time >= s.db_generation,
                   "database generation moved backwards");
   s.db_generation = generation_time;
-  s.freshness = criterion_ == StalenessCriterion::kMaxAgeArrival
-                    ? arrival_time
-                    : generation_time;
+  if (criterion_ == StalenessCriterion::kMaxAgeArrival) {
+    class_state(id.cls).arrival[id.index] = arrival_time;
+  }
   if (UsesMaxAge()) {
     ScheduleExpiry(id);
   }

@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/huge_pages.h"
 #include "base/prefetch.h"
 #include "db/object.h"
 #include "db/update.h"
@@ -103,7 +104,7 @@ class StalenessTracker {
   // id out of range is ignored rather than checked. Always inlined, as
   // base/prefetch.h explains.
   [[gnu::always_inline]] void Prefetch(ObjectId id) const {
-    const std::vector<ObjectState>& objects = class_state(id.cls).objects;
+    const auto& objects = class_state(id.cls).objects;
     if (id.index >= 0 &&
         static_cast<std::size_t>(id.index) < objects.size()) {
       base::PrefetchForRead(&objects[id.index]);
@@ -126,13 +127,11 @@ class StalenessTracker {
   sim::Duration max_age() const { return max_age_; }
 
  private:
-  // 24 bytes per object: the stale flag and the queued generations
-  // live beside the objects, in ClassState.
+  // 16 bytes per object: the stale flag, the arrival time and the
+  // queued generations live beside the objects, in ClassState. MA-style
+  // aging runs on the generation time, except under kMaxAgeArrival.
   struct ObjectState {
     sim::Time db_generation = 0;
-    // The timestamp MA-style aging runs on: the generation time, or
-    // the arrival time under kMaxAgeArrival.
-    sim::Time freshness = 0;
     // Sequence of the object's current MA expiry; index entries under
     // any other sequence are superseded and skipped.
     std::uint64_t expiry_sequence = kNoExpiry;
@@ -141,10 +140,15 @@ class StalenessTracker {
   // Generation time and update id of one queued update.
   using QueuedKey = std::pair<sim::Time, std::uint64_t>;
 
+  // Every array here is indexed by object and sits on huge pages once
+  // it reaches 2 MiB (base/huge_pages.h).
   struct ClassState {
-    std::vector<ObjectState> objects;
+    base::HugePageVector<ObjectState> objects;
     // One stale flag per object.
-    std::vector<bool> stale;
+    base::HugePageVector<bool> stale;
+    // Per object, the arrival time of its current value: the timestamp
+    // MA-arrival aging runs on. Allocated only under kMaxAgeArrival.
+    base::HugePageVector<sim::Time> arrival;
     // Per object, the generation times of its queued updates, kept
     // sorted ascending (ties broken by update id, so keys are unique).
     // A flat vector beats a node-based set here: the per-object backlog
@@ -153,7 +157,7 @@ class StalenessTracker {
     // and the UU check reads the max straight off the back. Sized to
     // the class at its first OnEnqueued, so a run that never queues
     // (Update First) never allocates it.
-    std::vector<std::vector<QueuedKey>> queued;
+    base::HugePageVector<std::vector<QueuedKey>> queued;
     // Stale count, integrated over time.
     sim::TimeWeighted stale_count;
   };
@@ -188,6 +192,10 @@ class StalenessTracker {
   const ObjectState& state(ObjectId id) const;
   // The object's queued keys; sizes the class's table on first use.
   std::vector<QueuedKey>& QueuedKeys(ObjectId id);
+
+  // The timestamp MA-style aging runs on: the generation time, or the
+  // arrival time under kMaxAgeArrival. `s` is state(id).
+  sim::Time Freshness(ObjectId id, const ObjectState& s) const;
 
   bool ComputeStale(ObjectId id) const;
 

@@ -108,8 +108,7 @@ ObjectClass UpdateQueue::NewestClass() const {
 }
 
 std::uint32_t UpdateQueue::HeadOf(ObjectId object) const {
-  const std::vector<std::uint32_t>& heads =
-      heads_[static_cast<int>(object.cls)];
+  const auto& heads = heads_[static_cast<int>(object.cls)];
   const auto index = static_cast<std::size_t>(object.index);
   return index < heads.size() ? heads[index] : kNoSlot;
 }
@@ -129,7 +128,7 @@ void UpdateQueue::Link(std::uint32_t slot) {
   Entry& entry = pool_[slot];
   const ObjectId object = entry.update.object;
   STRIP_CHECK_MSG(object.index >= 0, "negative object index");
-  std::vector<std::uint32_t>& heads = heads_[static_cast<int>(object.cls)];
+  auto& heads = heads_[static_cast<int>(object.cls)];
   const auto index = static_cast<std::size_t>(object.index);
   if (index >= heads.size()) heads.resize(index + 1, kNoSlot);
   const Key key{entry.update.generation_time, entry.update.id.value(), slot};

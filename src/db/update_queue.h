@@ -41,6 +41,7 @@
 #include <optional>
 #include <vector>
 
+#include "base/huge_pages.h"
 #include "db/object.h"
 #include "db/update.h"
 #include "sim/sim_time.h"
@@ -193,8 +194,9 @@ class UpdateQueue {
   // Per-class ordering; together they hold every queued update once.
   FlatKeyIndex by_class_[kNumObjectClasses];
   // Per-class chain heads by object index: the slot of the object's
-  // newest queued update, or kNoSlot.
-  std::vector<std::uint32_t> heads_[kNumObjectClasses];
+  // newest queued update, or kNoSlot. On huge pages once 2 MiB
+  // (base/huge_pages.h).
+  base::HugePageVector<std::uint32_t> heads_[kNumObjectClasses];
   std::uint64_t overflow_drops_ = 0;
 };
 

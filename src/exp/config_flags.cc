@@ -1,6 +1,7 @@
 #include "exp/config_flags.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
@@ -104,10 +105,17 @@ std::vector<std::string> Split(const std::string& s, char sep) {
   }
 }
 
+// Lossless: the ostream text (6 significant digits) when it reads
+// back as the same double, so such values print as they always have;
+// otherwise the shortest text that reads back exactly.
 std::string Render(double v) {
   std::ostringstream out;
   out << v;
-  return out.str();
+  std::string text = out.str();
+  if (std::strtod(text.c_str(), nullptr) == v) return text;
+  char shortest[32];
+  char* end = std::to_chars(shortest, shortest + sizeof shortest, v).ptr;
+  return std::string(shortest, end);
 }
 std::string Render(int v) { return std::to_string(v); }
 std::string Render(bool v) { return v ? "true" : "false"; }

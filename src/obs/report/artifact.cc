@@ -350,23 +350,29 @@ std::optional<BenchDoc> LoadBenchDoc(const std::string& path,
     SetError(error, path, parse_error);
     return std::nullopt;
   }
-  if (!doc->is_object()) {
+  return ParseBenchDoc(path, *doc, error);
+}
+
+std::optional<BenchDoc> ParseBenchDoc(const std::string& path,
+                                      const JsonValue& doc,
+                                      std::string* error) {
+  if (!doc.is_object()) {
     SetError(error, path, "not a JSON object");
     return std::nullopt;
   }
 
   // A checked-in strip.bench-history/v1 snapshot reloads directly (its
   // entries are already min-of-N reduced).
-  if (doc->StringOr("schema", "") == "strip.bench-history/v1") {
+  if (doc.StringOr("schema", "") == "strip.bench-history/v1") {
     BenchDoc out;
     out.path = path;
-    out.build_type = doc->StringOr("build_type", "unknown");
-    out.lto = doc->StringOr("lto", "");
-    if (const JsonValue* host = doc->Find("host");
+    out.build_type = doc.StringOr("build_type", "unknown");
+    out.lto = doc.StringOr("lto", "");
+    if (const JsonValue* host = doc.Find("host");
         host != nullptr && host->is_object()) {
       out.host = ParseBenchHost(*host);
     }
-    const JsonValue* entries = doc->Find("entries");
+    const JsonValue* entries = doc.Find("entries");
     if (entries == nullptr || !entries->is_array()) {
       SetError(error, path, "missing entries array");
       return std::nullopt;
@@ -389,14 +395,14 @@ std::optional<BenchDoc> LoadBenchDoc(const std::string& path,
     return out;
   }
 
-  const JsonValue* benchmarks = doc->Find("benchmarks");
+  const JsonValue* benchmarks = doc.Find("benchmarks");
   if (benchmarks == nullptr || !benchmarks->is_array()) {
     SetError(error, path, "missing benchmarks array");
     return std::nullopt;
   }
   BenchDoc out;
   out.path = path;
-  if (const JsonValue* context = doc->Find("context");
+  if (const JsonValue* context = doc.Find("context");
       context != nullptr && context->is_object()) {
     // Prefer the repo's own stamp: the library_build_type the benchmark
     // library reports describes how *it* was compiled, which has been

@@ -177,6 +177,10 @@ struct SweepDirData {
 
 [[nodiscard]] std::optional<BenchDoc> LoadBenchDoc(
     const std::string& path, std::string* error);
+// A parsed benchmark document: Google Benchmark JSON or a
+// strip.bench-history/v1 snapshot. `path` only names it in errors.
+[[nodiscard]] std::optional<BenchDoc> ParseBenchDoc(
+    const std::string& path, const JsonValue& doc, std::string* error);
 
 // Scans `dir` for cell_*.json sweep-cell files and *.shard<k>
 // telemetry files (both families may live in one directory or the

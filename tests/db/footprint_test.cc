@@ -1,7 +1,9 @@
 // Pins the bytes Database and StalenessTracker allocate per view object
 // at construction: the state that sets how large a view the simulator
-// can hold (uf_wide holds 1M + 1M objects). A counting global operator
-// new tallies every allocation made while a constructor runs.
+// can hold (uf_wide holds 1M + 1M objects). Counting global operator
+// new overloads, plain and aligned, tally every allocation made while
+// a constructor runs: the per-object arrays come from the aligned one
+// once they reach 2 MiB (base/huge_pages.h).
 
 #include <cstddef>
 #include <cstdlib>
@@ -31,8 +33,25 @@ std::size_t allocated_bytes = 0;
   return p;
 }
 
+[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t al) {
+  if (counting) allocated_bytes += size;
+  void* p = nullptr;
+  if (posix_memalign(&p, static_cast<std::size_t>(al), size == 0 ? 1 : size) !=
+      0) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
   std::free(p);
 }
 
@@ -60,31 +79,61 @@ std::string PerObject(std::size_t bytes) {
          " B per object";
 }
 
+// Expects at least `per_object` bytes for every object and at most
+// `slack` more. The lower bound shows that the counting overloads see
+// the per-object arrays: bytes they missed would pass any upper bound.
+void ExpectPerObject(std::size_t bytes, std::size_t per_object,
+                     std::size_t slack) {
+  EXPECT_GE(bytes, per_object * kObjects) << PerObject(bytes);
+  EXPECT_LE(bytes, per_object * kObjects + slack) << PerObject(bytes);
+}
+
 TEST(FootprintTest, DatabaseHoldsSixteenBytesPerObject) {
   const std::size_t bytes = AllocatedBy(
       [] { return std::make_unique<Database>(kPerClass, kPerClass); });
-  EXPECT_LE(bytes, 16 * kObjects + kConstantBytes) << PerObject(bytes);
+  ExpectPerObject(bytes, 16, kConstantBytes);
 }
 
 TEST(FootprintTest, AttributesAddEightBytesEach) {
   const std::size_t bytes = AllocatedBy(
       [] { return std::make_unique<Database>(kPerClass, kPerClass, 3); });
-  EXPECT_LE(bytes, (16 + 8 * 3) * kObjects + kConstantBytes)
-      << PerObject(bytes);
+  ExpectPerObject(bytes, 16 + 8 * 3, kConstantBytes);
+}
+
+// Bytes a 1M + 1M tracker allocates at construction.
+std::size_t TrackerBytes(StalenessCriterion criterion) {
+  sim::Simulator sim;
+  return AllocatedBy([&] {
+    return std::make_unique<StalenessTracker>(&sim, criterion, 7.0,
+                                              kPerClass, kPerClass);
+  });
+}
+
+std::string CriterionName(
+    const ::testing::TestParamInfo<StalenessCriterion>& param_info) {
+  switch (param_info.param) {
+    case StalenessCriterion::kMaxAge:
+      return "MA";
+    case StalenessCriterion::kUnappliedUpdate:
+      return "UU";
+    case StalenessCriterion::kCombined:
+      return "MA_UU";
+    case StalenessCriterion::kMaxAgeArrival:
+      return "MA_arrival";
+  }
+  return "unknown";
 }
 
 class TrackerFootprintTest
     : public ::testing::TestWithParam<StalenessCriterion> {};
 
-// 24 B of state and one stale bit per object. Nothing per object in
-// the expiry index (the initial wave is implicit) or in the queued
-// side table (no update has been queued).
+// At most 24 B and one stale bit per object under every criterion: the
+// 16 B state, plus the 8 B arrival time under MA-arrival. Nothing per
+// object in the expiry index (the initial wave is implicit) or in the
+// queued side table (no update has been queued).
 TEST_P(TrackerFootprintTest, TwentyFourBytesAndOneBitPerObject) {
-  sim::Simulator sim;
-  const std::size_t bytes = AllocatedBy([&] {
-    return std::make_unique<StalenessTracker>(&sim, GetParam(), 7.0,
-                                              kPerClass, kPerClass);
-  });
+  const std::size_t bytes = TrackerBytes(GetParam());
+  EXPECT_GE(bytes, 16 * kObjects) << PerObject(bytes);
   EXPECT_LE(bytes, 24 * kObjects + kObjects / 8 + kConstantBytes)
       << PerObject(bytes);
 }
@@ -95,19 +144,24 @@ INSTANTIATE_TEST_SUITE_P(
                       StalenessCriterion::kUnappliedUpdate,
                       StalenessCriterion::kCombined,
                       StalenessCriterion::kMaxAgeArrival),
-    [](const ::testing::TestParamInfo<StalenessCriterion>& param_info) {
-      switch (param_info.param) {
-        case StalenessCriterion::kMaxAge:
-          return std::string("MA");
-        case StalenessCriterion::kUnappliedUpdate:
-          return std::string("UU");
-        case StalenessCriterion::kCombined:
-          return std::string("MA_UU");
-        case StalenessCriterion::kMaxAgeArrival:
-          return std::string("MA_arrival");
-      }
-      return std::string("unknown");
-    });
+    CriterionName);
+
+class GenerationTrackerFootprintTest
+    : public ::testing::TestWithParam<StalenessCriterion> {};
+
+// 16 B and one stale bit per object where aging runs on the generation
+// time, which the state already holds: no arrival table.
+TEST_P(GenerationTrackerFootprintTest, SixteenBytesAndOneBitPerObject) {
+  ExpectPerObject(TrackerBytes(GetParam()), 16,
+                  kObjects / 8 + kConstantBytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NoArrivalTable, GenerationTrackerFootprintTest,
+    ::testing::Values(StalenessCriterion::kMaxAge,
+                      StalenessCriterion::kUnappliedUpdate,
+                      StalenessCriterion::kCombined),
+    CriterionName);
 
 }  // namespace
 }  // namespace strip::db

@@ -1,8 +1,13 @@
 #include "exp/config_flags.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iomanip>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -153,6 +158,73 @@ TEST(ConfigFlagsTest, RoundTripThroughToString) {
   EXPECT_EQ(replay.queue_discipline, core::QueueDiscipline::kLifo);
   EXPECT_TRUE(replay.abort_on_stale);
   EXPECT_EQ(replay.n_high, 77);
+}
+
+// The value of row `name` in a ConfigToString text.
+std::string RowValue(const std::string& text, const std::string& name) {
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(name + "=", 0) == 0) return line.substr(name.size() + 1);
+  }
+  return "<no row " + name + ">";
+}
+
+// Every double row, base and sharded, prints losslessly. Each is set to
+// a neighbour of its value that needs 17 significant digits: the text
+// must change, and the printed value must read back bit for bit (at 6
+// digits it printed as the value it neighbours).
+TEST(ConfigFlagsTest, DoubleRowsPrintLosslessly) {
+  core::ShardedConfig defaults;
+  defaults.shard_ips = {50e6};
+  defaults.shard_x_switch = {1000};
+  const std::string default_text = ConfigToString(defaults);
+  std::vector<std::string> double_rows;
+  std::istringstream lines(default_text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::size_t eq = line.find('=');
+    const std::string name = line.substr(0, eq);
+    double value = 0;
+    if (!ParseDouble(line.substr(eq + 1), &value)) continue;
+    // Toward zero first; away from it where the value is a bound of the
+    // row's range. Integer rows refuse both.
+    const double below =
+        value > 0 ? std::nextafter(value, 0.0) : std::nextafter(0.1, 1.0);
+    for (const double nudged : {below, std::nextafter(value, 1e300)}) {
+      std::ostringstream digits;
+      digits << std::setprecision(17) << nudged;
+      core::ShardedConfig config = defaults;
+      if (ApplyConfigFlag(name + "=" + digits.str(), config).has_value()) {
+        continue;
+      }
+      double_rows.push_back(name);
+      const std::string text = ConfigToString(config);
+      EXPECT_NE(text, default_text) << name;
+      const std::string printed = RowValue(text, name);
+      double read_back = 0;
+      ASSERT_TRUE(ParseDouble(printed, &read_back)) << name << "=" << printed;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(read_back),
+                std::bit_cast<std::uint64_t>(nudged))
+          << name << "=" << printed << ", set " << digits.str();
+      // The whole text replays onto a fresh config as the same text.
+      core::ShardedConfig replay;
+      std::istringstream replay_lines(text);
+      std::string assignment;
+      while (std::getline(replay_lines, assignment)) {
+        ASSERT_FALSE(ApplyConfigFlag(assignment, replay).has_value())
+            << assignment;
+      }
+      EXPECT_EQ(ConfigToString(replay), text) << name;
+      break;
+    }
+  }
+  // 38 base rows (lambda_u ... remote_retry_backoff) and 6 cluster rows
+  // (shard_ips, shard_x_switch, feed_hot_fraction, link_latency_us,
+  // link_jitter_us, link_loss_p).
+  std::string found;
+  for (const std::string& name : double_rows) found += name + " ";
+  EXPECT_EQ(double_rows.size(), 44u) << found;
 }
 
 TEST(ConfigFlagsTest, RejectedAssignmentsLeaveConfigUntouched) {

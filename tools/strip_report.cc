@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "base/atomic_io.h"
+#include "exp/config_flags.h"
 #include "obs/report/bench_diff.h"
 #include "obs/report/diff.h"
 #include "obs/report/format.h"
@@ -59,13 +60,21 @@ bool FlagValue(const std::string& arg, const char* name,
   return true;
 }
 
+// A finite, non-negative number; anything else (empty, nan, inf,
+// trailing text) exits 2 naming the flag.
 double ParseFraction(const std::string& text, const char* what) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || value < 0) {
+  double value = 0;
+  if (!strip::exp::ParseDouble(text, &value) || value < 0) {
     Fail(std::string(what) + " needs a non-negative number, got '" + text +
          "'");
   }
+  return value;
+}
+
+// The value of a PATH flag. An empty one would silently write nothing,
+// so it exits 2 naming the flag.
+std::string PathOrFail(const std::string& value, const char* flag) {
+  if (value.empty()) Fail(std::string(flag) + "= needs a path");
   return value;
 }
 
@@ -102,9 +111,9 @@ int RunDiff(const std::vector<std::string>& args) {
     } else if (arg == "--all") {
       options.all_rows = true;
     } else if (FlagValue(arg, "--md", &value)) {
-      md_path = value;
+      md_path = PathOrFail(value, "--md");
     } else if (FlagValue(arg, "--json", &value)) {
-      json_path = value;
+      json_path = PathOrFail(value, "--json");
     } else if (!arg.empty() && arg[0] == '-') {
       Fail("unknown diff flag: " + arg);
     } else {
@@ -147,9 +156,9 @@ int RunSummarize(const std::vector<std::string>& args) {
     } else if (FlagValue(arg, "--metrics", &value)) {
       options.metrics = SplitCommas(value);
     } else if (FlagValue(arg, "--md", &value)) {
-      md_path = value;
+      md_path = PathOrFail(value, "--md");
     } else if (FlagValue(arg, "--csv", &value)) {
-      csv_path = value;
+      csv_path = PathOrFail(value, "--csv");
     } else if (!arg.empty() && arg[0] == '-') {
       Fail("unknown summarize flag: " + arg);
     } else {
@@ -195,11 +204,11 @@ int RunBenchDiff(const std::vector<std::string>& args) {
     } else if (arg == "--warn-only") {
       warn_only = true;
     } else if (FlagValue(arg, "--md", &value)) {
-      md_path = value;
+      md_path = PathOrFail(value, "--md");
     } else if (FlagValue(arg, "--json", &value)) {
-      json_path = value;
+      json_path = PathOrFail(value, "--json");
     } else if (FlagValue(arg, "--snapshot", &value)) {
-      snapshot_path = value;
+      snapshot_path = PathOrFail(value, "--snapshot");
     } else if (FlagValue(arg, "--label", &value)) {
       label = value;
     } else if (!arg.empty() && arg[0] == '-') {
