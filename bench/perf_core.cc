@@ -281,8 +281,9 @@ void BM_DatabaseApplyWide(benchmark::State& state) {
 BENCHMARK(BM_DatabaseApplyWide)->Arg(1000000);
 
 // Maximum-Age tracking: one apply per 2.5 ms of simulated time, with
-// the clock advanced so the expiry timer fires and the index entries
-// that applies superseded are skipped, as in a real run.
+// the clock advanced first, so each apply (and the count read after it)
+// applies the expiries that have come due and skips the index entries
+// that earlier applies superseded, as in a real run.
 void BM_StalenessTrackerApply(benchmark::State& state) {
   sim::Simulator simulator;
   db::StalenessTracker tracker(&simulator,
@@ -303,9 +304,9 @@ void BM_StalenessTrackerApply(benchmark::State& state) {
 BENCHMARK(BM_StalenessTrackerApply);
 
 // Maximum Age at uf_wide's population (range(0) objects per class):
-// construct the tracker, run to alpha so every initial expiry fires,
-// destroy it. The per-object unit cost of set-up and of the first
-// expiry wave.
+// construct the tracker, run the clock to alpha and read the stale
+// count, which applies every initial expiry, then destroy it. The
+// per-object unit cost of set-up and of the first expiry wave.
 void BM_StalenessTrackerWide(benchmark::State& state) {
   const int per_class = static_cast<int>(state.range(0));
   constexpr double kAlpha = 7.0;

@@ -3,8 +3,8 @@
 // strip_report reads telemetry documents, sweep cells and benchmark
 // JSON that other runs, other revisions or people wrote. On arbitrary
 // bytes ParseJson must return a document or reject with an error set.
-// An accepted document then goes through the telemetry reader and the
-// benchmark-document reader, which must likewise return a document or
+// An accepted document then goes through the telemetry, sweep-cell and
+// benchmark-document readers, which must likewise return a document or
 // an error: never crash, never reject silently.
 
 #include <cstdint>
@@ -26,6 +26,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
   error.clear();
   if (!report::ParseTelemetryDoc("input", *doc, &error).has_value() &&
+      error.empty()) {
+    __builtin_trap();
+  }
+  error.clear();
+  if (!report::ParseSweepCellDoc("input", *doc, &error).has_value() &&
       error.empty()) {
     __builtin_trap();
   }

@@ -12,8 +12,8 @@ constexpr auto kLaterExpiry = [](const auto& a, const auto& b) {
   return b.key < a.key;
 };
 
-// How many entries at the top of the heap OnExpiryTimer prefetches
-// after each pop: the new front and its two children, one of which is
+// How many entries at the top of the heap Advance prefetches after
+// each pop: the new front and its two children, one of which is
 // the front after the next pop.
 constexpr std::size_t kExpiryLookahead = 3;
 
@@ -74,7 +74,6 @@ StalenessTracker::StalenessTracker(sim::Simulator* simulator,
     }
     cls.stale_count.StartAt(now, initially_stale ? sizes[c] : 0);
   }
-  if (initial_size_ > 0) ArmTimer(RunFront().key);
 }
 
 int StalenessTracker::CheckedIndex(ObjectId id) const {
@@ -108,13 +107,13 @@ sim::Time StalenessTracker::Freshness(ObjectId id,
   return s.db_generation;
 }
 
-bool StalenessTracker::ComputeStale(ObjectId id) const {
+bool StalenessTracker::ComputeStale(ObjectId id, sim::Time at) const {
   const ObjectState& s = state(id);
-  // >= so the flag flips when the expiry fires at freshness + max_age
-  // (the boundary itself has measure zero). Rounding can leave
+  // >= so the flag flips when the expiry is applied at freshness +
+  // max_age (the boundary itself has measure zero). Rounding can leave
   // fl(freshness + max_age) - freshness just under max_age; the flag
   // then stays fresh until the object's next refresh.
-  const bool ma_stale = simulator_->now() - Freshness(id, s) >= max_age_;
+  const bool ma_stale = at - Freshness(id, s) >= max_age_;
   const auto uu_stale = [&] {
     const auto& queued = class_state(id.cls).queued;
     if (queued.empty()) return false;
@@ -133,13 +132,12 @@ bool StalenessTracker::ComputeStale(ObjectId id) const {
   return false;
 }
 
-void StalenessTracker::Refresh(ObjectId id) {
-  const bool now_stale = ComputeStale(id);
-  ClassState& cls = class_state(id.cls);
-  if (now_stale == cls.stale[id.index]) return;
-  cls.stale[id.index] = now_stale;
-  cls.stale_count.Set(simulator_->now(),
-                      cls.stale_count.value() + (now_stale ? 1.0 : -1.0));
+void StalenessTracker::Refresh(ObjectId id, sim::Time at) const {
+  const bool stale = ComputeStale(id, at);
+  const ClassState& cls = class_state(id.cls);
+  if (stale == cls.stale[id.index]) return;
+  cls.stale[id.index] = stale;
+  cls.stale_count.Set(at, cls.stale_count.value() + (stale ? 1.0 : -1.0));
 }
 
 void StalenessTracker::ScheduleExpiry(ObjectId id) {
@@ -148,7 +146,7 @@ void StalenessTracker::ScheduleExpiry(ObjectId id) {
   if (expiry_time <= simulator_->now()) {
     // Already older than alpha — stale immediately; no expiry needed.
     s.expiry_sequence = kNoExpiry;
-    Refresh(id);
+    Refresh(id, simulator_->now());
     return;
   }
   // The sequence a per-object ScheduleAt would have taken keeps this
@@ -174,7 +172,6 @@ void StalenessTracker::ScheduleExpiry(ObjectId id) {
     out_of_order_.push_back(expiry);
     std::push_heap(out_of_order_.begin(), out_of_order_.end(), kLaterExpiry);
   }
-  ArmTimer(expiry.key);
 }
 
 StalenessTracker::Expiry StalenessTracker::RunFront() const {
@@ -189,7 +186,7 @@ StalenessTracker::Expiry StalenessTracker::RunFront() const {
   return {{max_age_, initial_sequence_ + k}, id};
 }
 
-void StalenessTracker::PopRunFront() {
+void StalenessTracker::PopRunFront() const {
   if (initial_head_ < initial_size_) {
     ++initial_head_;
     return;
@@ -200,65 +197,32 @@ void StalenessTracker::PopRunFront() {
   }
 }
 
-void StalenessTracker::PopHeapFront() {
+void StalenessTracker::PopHeapFront() const {
   std::pop_heap(out_of_order_.begin(), out_of_order_.end(), kLaterExpiry);
   out_of_order_.pop_back();
 }
 
-std::optional<StalenessTracker::Expiry> StalenessTracker::EarliestExpiry() {
+void StalenessTracker::Advance() const {
+  const ExpiryKey due{simulator_->now(), simulator_->current_sequence()};
   const auto superseded = [this](const Expiry& e) {
     return state(e.object).expiry_sequence != e.key.sequence;
   };
-  while (!RunEmpty() && superseded(RunFront())) PopRunFront();
-  while (!out_of_order_.empty() && superseded(out_of_order_.front())) {
-    PopHeapFront();
-  }
-  if (RunEmpty()) {
-    if (out_of_order_.empty()) return std::nullopt;
-    return out_of_order_.front();
-  }
-  const Expiry run = RunFront();
-  if (!out_of_order_.empty() && out_of_order_.front().key < run.key) {
-    return out_of_order_.front();
-  }
-  return run;
-}
-
-void StalenessTracker::PopExpiry(const Expiry& expiry) {
-  // Sequences are unique, so the key names the front it came from.
-  if (!out_of_order_.empty() && out_of_order_.front().key == expiry.key) {
-    PopHeapFront();
-    return;
-  }
-  STRIP_CHECK(!RunEmpty() && RunFront().key == expiry.key);
-  PopRunFront();
-}
-
-void StalenessTracker::ArmTimer(const ExpiryKey& key) {
-  if (!timers_.empty() && !(key < timers_.back())) return;
-  timers_.push_back(key);
-  simulator_->ScheduleReserved(key.at, key.sequence,
-                               [this] { OnExpiryTimer(); });
-}
-
-void StalenessTracker::OnExpiryTimer() {
-  STRIP_CHECK(!timers_.empty());
-  const ExpiryKey fired = timers_.back();
-  timers_.pop_back();
-  const sim::Time now = simulator_->now();
-  STRIP_CHECK(fired.at == now);
-  while (const std::optional<Expiry> next = EarliestExpiry()) {
-    STRIP_CHECK_MSG(!(next->key < fired), "MA expiry passed its timer");
-    // The expiry at this timer's key is due now. A later one at this
-    // instant is due too when no other pending event would be
-    // dispatched first; anything else waits for its own timer.
-    if (!(next->key == fired) &&
-        (next->key.at != now ||
-         simulator_->HasPendingBefore(now, next->key.sequence))) {
-      ArmTimer(next->key);
-      return;
+  for (;;) {
+    while (!RunEmpty() && superseded(RunFront())) PopRunFront();
+    while (!out_of_order_.empty() && superseded(out_of_order_.front())) {
+      PopHeapFront();
     }
-    PopExpiry(*next);
+    const bool from_heap =
+        !out_of_order_.empty() &&
+        (RunEmpty() || out_of_order_.front().key < RunFront().key);
+    if (!from_heap && RunEmpty()) return;
+    const Expiry next = from_heap ? out_of_order_.front() : RunFront();
+    if (!(next.key < due)) return;
+    if (from_heap) {
+      PopHeapFront();
+    } else {
+      PopRunFront();
+    }
     // The heap's next fronts are among its top entries, and the next
     // supersession check and Refresh read their states: start those
     // loads now.
@@ -267,11 +231,12 @@ void StalenessTracker::OnExpiryTimer() {
     for (std::size_t i = 0; i < ahead; ++i) {
       Prefetch(out_of_order_[i].object);
     }
-    Refresh(next->object);
+    Refresh(next.object, next.key.at);
   }
 }
 
 void StalenessTracker::ResetObservation() {
+  Advance();
   for (ClassState& cls : classes_) {
     cls.stale_count.StartAt(simulator_->now(), cls.stale_count.value());
   }
@@ -279,6 +244,7 @@ void StalenessTracker::ResetObservation() {
 
 void StalenessTracker::OnApply(ObjectId id, sim::Time generation_time,
                                sim::Time arrival_time) {
+  Advance();
   ObjectState& s = state(id);
   STRIP_CHECK_MSG(generation_time >= s.db_generation,
                   "database generation moved backwards");
@@ -289,31 +255,34 @@ void StalenessTracker::OnApply(ObjectId id, sim::Time generation_time,
   if (UsesMaxAge()) {
     ScheduleExpiry(id);
   }
-  Refresh(id);
+  Refresh(id, simulator_->now());
 }
 
 void StalenessTracker::OnEnqueued(const Update& update) {
+  Advance();
   std::vector<QueuedKey>& keys = QueuedKeys(update.object);
   const QueuedKey key{update.generation_time, update.id.value()};
   keys.insert(std::upper_bound(keys.begin(), keys.end(), key), key);
-  Refresh(update.object);
+  Refresh(update.object, simulator_->now());
 }
 
 void StalenessTracker::OnRemovedFromQueue(const Update& update) {
+  Advance();
   std::vector<QueuedKey>& keys = QueuedKeys(update.object);
   const QueuedKey key{update.generation_time, update.id.value()};
   const auto it = std::lower_bound(keys.begin(), keys.end(), key);
   STRIP_CHECK_MSG(it != keys.end() && *it == key,
                   "removed update was not tracked as queued");
   keys.erase(it);
-  Refresh(update.object);
+  Refresh(update.object, simulator_->now());
 }
 
 bool StalenessTracker::IsStale(ObjectId id) const {
-  return ComputeStale(id);
+  return ComputeStale(id, simulator_->now());
 }
 
 double StalenessTracker::FractionStaleNow(ObjectClass cls) const {
+  Advance();
   const ClassState& c = class_state(cls);
   if (c.objects.empty()) return 0.0;
   return c.stale_count.value() / static_cast<double>(c.objects.size());
@@ -321,6 +290,7 @@ double StalenessTracker::FractionStaleNow(ObjectClass cls) const {
 
 double StalenessTracker::FractionStaleAverage(ObjectClass cls,
                                               sim::Time end) const {
+  Advance();
   const ClassState& c = class_state(cls);
   if (c.objects.empty()) return 0.0;
   return c.stale_count.Average(end) / static_cast<double>(c.objects.size());

@@ -19,18 +19,18 @@
 // and a time-weighted stale count, so the staleness fraction f_old of
 // Section 3.5 is an exact integral rather than a sampled estimate.
 //
-// MA expiries live in an index the tracker owns, so no object holds a
-// simulator event. Scheduling an expiry reserves the event sequence a
-// ScheduleAt would have taken, and a single timer, armed at the
-// earliest expiry's exact (time, sequence) key, fires every expiry in
-// the place its own event would have had among same-instant events.
+// MA expiries live in an index the tracker owns, not in the simulator.
+// Each reserves the event sequence a ScheduleAt would have taken, which
+// keys it (time, sequence) where its own event would have been
+// dispatched. Every mutator and count reader first applies, each at
+// its own time, the expiries keyed before the simulator's current
+// (now, sequence): the ones such events would already have fired.
 
 #ifndef STRIP_DB_STALENESS_H_
 #define STRIP_DB_STALENESS_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -67,8 +67,9 @@ class StalenessTracker {
   // `max_age` is alpha; it is ignored under kUnappliedUpdate. All
   // objects start with generation time 0 (matching Database's initial
   // state): fresh, or stale under MA when the simulator's clock has
-  // already reached alpha. The tracker schedules its MA expiry timer on
-  // `simulator`, which must outlive it.
+  // already reached alpha. The tracker keys its MA expiries on
+  // `simulator`'s dispatch order and applies them by its clock, so
+  // `simulator` must outlive it and share its thread.
   StalenessTracker(sim::Simulator* simulator, StalenessCriterion criterion,
                    sim::Duration max_age, int n_low, int n_high);
 
@@ -113,6 +114,7 @@ class StalenessTracker {
 
   // Number of currently stale objects in a partition.
   int StaleCount(ObjectClass cls) const {
+    Advance();
     return static_cast<int>(class_state(cls).stale_count.value());
   }
 
@@ -144,8 +146,8 @@ class StalenessTracker {
   // it reaches 2 MiB (base/huge_pages.h).
   struct ClassState {
     base::HugePageVector<ObjectState> objects;
-    // One stale flag per object.
-    base::HugePageVector<bool> stale;
+    // One stale flag per object (mutable: see Advance).
+    mutable base::HugePageVector<bool> stale;
     // Per object, the arrival time of its current value: the timestamp
     // MA-arrival aging runs on. Allocated only under kMaxAgeArrival.
     base::HugePageVector<sim::Time> arrival;
@@ -159,7 +161,7 @@ class StalenessTracker {
     // (Update First) never allocates it.
     base::HugePageVector<std::vector<QueuedKey>> queued;
     // Stale count, integrated over time.
-    sim::TimeWeighted stale_count;
+    mutable sim::TimeWeighted stale_count;
   };
 
   static constexpr std::uint64_t kNoExpiry = ~std::uint64_t{0};
@@ -197,11 +199,12 @@ class StalenessTracker {
   // arrival time under kMaxAgeArrival. `s` is state(id).
   sim::Time Freshness(ObjectId id, const ObjectState& s) const;
 
-  bool ComputeStale(ObjectId id) const;
+  // Is `id` stale at time `at`, by its state as it stands?
+  bool ComputeStale(ObjectId id, sim::Time at) const;
 
-  // Re-evaluates one object's flag and folds any change into the
-  // stale-count signal.
-  void Refresh(ObjectId id);
+  // Re-evaluates one object's flag at time `at` and folds any change
+  // into the stale-count signal.
+  void Refresh(ObjectId id, sim::Time at) const;
 
   // (Re)schedules the MA expiry for one object, superseding any
   // earlier one.
@@ -212,22 +215,14 @@ class StalenessTracker {
     return initial_head_ == initial_size_ && run_head_ == run_.size();
   }
   Expiry RunFront() const;
-  void PopRunFront();
-  void PopHeapFront();
+  void PopRunFront() const;
+  void PopHeapFront() const;
 
-  // Drops superseded entries off both index fronts and returns the
-  // earliest current expiry, or nullopt if none is pending.
-  std::optional<Expiry> EarliestExpiry();
-  // Removes `expiry`, as returned by EarliestExpiry().
-  void PopExpiry(const Expiry& expiry);
-
-  // Schedules a timer at `key` unless one at or before it is pending.
-  void ArmTimer(const ExpiryKey& key);
-
-  // The timer callback: fires the expiry at the timer's key, then
-  // every further expiry at this instant that no other pending event
-  // precedes, and re-arms for the next one.
-  void OnExpiryTimer();
+  // Applies, in key order and each at its own time, every current
+  // expiry keyed before (now, current sequence): the expiries an event
+  // per object would already have fired. Superseded entries on the
+  // index fronts are dropped on the way.
+  void Advance() const;
 
   bool UsesMaxAge() const {
     return criterion_ != StalenessCriterion::kUnappliedUpdate;
@@ -250,17 +245,17 @@ class StalenessTracker {
   // alpha is appended, and its sequence is later. They are stored in
   // `run_` and read from `run_head_` on; every expiry under MA-arrival
   // goes there.
+  //
+  // The mutable members (these fronts, each class's stale flags and
+  // stale count) change outside the mutators only in Advance, which
+  // applies expiries already due: a const reader sees what an event per
+  // expiry would have left.
   std::uint64_t initial_sequence_ = 0;
-  std::size_t initial_head_ = 0;
+  mutable std::size_t initial_head_ = 0;
   std::size_t initial_size_ = 0;
-  std::vector<Expiry> run_;
-  std::size_t run_head_ = 0;
-  std::vector<Expiry> out_of_order_;
-  // Keys of the pending timers, earliest last. Timers are never
-  // cancelled, so one is pushed whenever an earlier expiry arrives; the
-  // earliest pending timer is always at or before the earliest current
-  // expiry.
-  std::vector<ExpiryKey> timers_;
+  mutable std::vector<Expiry> run_;
+  mutable std::size_t run_head_ = 0;
+  mutable std::vector<Expiry> out_of_order_;
 };
 
 }  // namespace strip::db

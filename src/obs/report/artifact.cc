@@ -4,7 +4,9 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace strip::obs::report {
 
@@ -28,8 +30,38 @@ bool SetError(std::string* error, const std::string& path,
   return false;
 }
 
-std::uint64_t AsUint64(double v) {
-  return v <= 0 ? 0 : static_cast<std::uint64_t>(v);
+// Converts a JSON number to T for one of the readers' integer fields,
+// all of which are counts, indexes or seeds. Only a non-negative
+// integral value within T's range converts (casting any other double
+// is undefined behaviour); otherwise it sets *error, naming `field`,
+// and returns false.
+template <typename T>
+bool ToNonNegative(double value, const std::string& path,
+                   const std::string& field, T* out, std::string* error) {
+  // 2^digits is one past T's maximum, and exact as a double where the
+  // maximum itself may round up.
+  const double past_max =
+      2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+  if (!(value >= 0 && value < past_max) || std::trunc(value) != value) {
+    char shown[32];
+    std::snprintf(shown, sizeof(shown), "%.17g", value);
+    return SetError(error, path,
+                    field + " is not a non-negative integer in range (" +
+                        shown + ")");
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
+
+// Reads a JSON file into a document.
+std::optional<JsonValue> LoadJson(const std::string& path,
+                                  std::string* error) {
+  const auto contents = ReadFileToString(path, error);
+  if (!contents) return std::nullopt;
+  std::string parse_error;
+  auto doc = ParseJson(*contents, &parse_error);
+  if (!doc) SetError(error, path, parse_error);
+  return doc;
 }
 
 // Parses one telemetry "histograms" entry.
@@ -40,15 +72,24 @@ bool ParseHistogramData(const std::string& path, const std::string& name,
     return SetError(error, path, "histogram '" + name + "' is not an object");
   }
   out->name = name;
-  out->count = AsUint64(value.NumberOr("count", 0));
+  const std::string field = "histogram '" + name + "' ";
+  if (!ToNonNegative(value.NumberOr("count", 0), path, field + "count",
+                     &out->count, error) ||
+      !ToNonNegative(value.NumberOr("underflow", 0), path,
+                     field + "underflow", &out->underflow, error) ||
+      !ToNonNegative(value.NumberOr("overflow", 0), path, field + "overflow",
+                     &out->overflow, error) ||
+      !ToNonNegative(value.NumberOr("buckets_per_decade", 0), path,
+                     field + "buckets_per_decade", &out->buckets_per_decade,
+                     error)) {
+    return false;
+  }
   out->mean = value.NumberOr("mean", 0);
   out->min_sample = value.NumberOr("min", 0);
   out->max_sample = value.NumberOr("max", 0);
   out->p50 = value.NumberOr("p50", 0);
   out->p90 = value.NumberOr("p90", 0);
   out->p99 = value.NumberOr("p99", 0);
-  out->underflow = AsUint64(value.NumberOr("underflow", 0));
-  out->overflow = AsUint64(value.NumberOr("overflow", 0));
   const JsonValue* range = value.Find("range");
   if (range == nullptr || !range->is_array() || range->items.size() != 2 ||
       !range->items[0].is_number() || !range->items[1].is_number()) {
@@ -56,8 +97,6 @@ bool ParseHistogramData(const std::string& path, const std::string& name,
   }
   out->range_min = range->items[0].number_value;
   out->range_max = range->items[1].number_value;
-  out->buckets_per_decade =
-      static_cast<int>(value.NumberOr("buckets_per_decade", 0));
   const JsonValue* buckets = value.Find("buckets");
   if (buckets == nullptr || !buckets->is_array()) {
     return SetError(error, path, "histogram '" + name + "' has no buckets");
@@ -69,9 +108,15 @@ bool ParseHistogramData(const std::string& path, const std::string& name,
       return SetError(error, path,
                       "histogram '" + name + "' has a malformed bucket");
     }
-    out->buckets.emplace_back(
-        static_cast<std::size_t>(pair.items[0].number_value),
-        AsUint64(pair.items[1].number_value));
+    std::size_t index = 0;
+    std::uint64_t count = 0;
+    if (!ToNonNegative(pair.items[0].number_value, path,
+                       field + "bucket index", &index, error) ||
+        !ToNonNegative(pair.items[1].number_value, path,
+                       field + "bucket count", &count, error)) {
+      return false;
+    }
+    out->buckets.emplace_back(index, count);
   }
   return true;
 }
@@ -126,21 +171,29 @@ bool ParseShardSuffix(const std::string& name, std::string* stem,
 }
 
 // Reads a host from a Google Benchmark context or a history snapshot's
-// "host" block; both use the context's keys.
+// "host" block; both use the context's keys. A missing or unusable
+// num_cpus, or an unusable cache level, leaves the host unknown.
 BenchHost ParseBenchHost(const JsonValue& object) {
   BenchHost host;
   const JsonValue* num_cpus = object.Find("num_cpus");
-  if (num_cpus == nullptr || !num_cpus->is_number()) return host;
+  if (num_cpus == nullptr || !num_cpus->is_number() ||
+      !ToNonNegative(num_cpus->number_value, "", "num_cpus", &host.num_cpus,
+                     nullptr)) {
+    return {};
+  }
   host.known = true;
-  host.num_cpus = static_cast<int>(num_cpus->number_value);
   host.mhz_per_cpu = object.NumberOr("mhz_per_cpu", 0);
   if (const JsonValue* caches = object.Find("caches");
       caches != nullptr && caches->is_array()) {
     for (const JsonValue& cache : caches->items) {
       if (!cache.is_object()) continue;
-      host.caches.push_back({static_cast<int>(cache.NumberOr("level", 0)),
-                             cache.StringOr("type", ""),
-                             cache.NumberOr("size", 0)});
+      int level = 0;
+      if (!ToNonNegative(cache.NumberOr("level", 0), "", "level", &level,
+                         nullptr)) {
+        return {};
+      }
+      host.caches.push_back(
+          {level, cache.StringOr("type", ""), cache.NumberOr("size", 0)});
     }
   }
   return host;
@@ -255,13 +308,19 @@ std::optional<TelemetryDoc> ParseTelemetryDoc(const std::string& path,
   }
   out.policy = run->StringOr("policy", "");
   out.staleness = run->StringOr("staleness", "");
-  out.seed = AsUint64(run->NumberOr("seed", 0));
-  out.shard = static_cast<int>(run->NumberOr("shard", 0));
-  out.shards = static_cast<int>(run->NumberOr("shards", 1));
+  if (!ToNonNegative(run->NumberOr("seed", 0), path, "run.seed", &out.seed,
+                     error) ||
+      !ToNonNegative(run->NumberOr("shard", 0), path, "run.shard",
+                     &out.shard, error) ||
+      !ToNonNegative(run->NumberOr("shards", 1), path, "run.shards",
+                     &out.shards, error) ||
+      !ToNonNegative(doc.NumberOr("stale_reads_seen", 0), path,
+                     "stale_reads_seen", &out.stale_reads_seen, error)) {
+    return std::nullopt;
+  }
   out.sim_seconds = run->NumberOr("sim_seconds", 0);
   out.lambda_t = run->NumberOr("lambda_t", 0);
   out.lambda_u = run->NumberOr("lambda_u", 0);
-  out.stale_reads_seen = AsUint64(doc.NumberOr("stale_reads_seen", 0));
 
   const JsonValue* metrics = doc.Find("metrics");
   if (metrics == nullptr ||
@@ -287,32 +346,26 @@ std::optional<TelemetryDoc> ParseTelemetryDoc(const std::string& path,
 
 std::optional<TelemetryDoc> LoadTelemetryDoc(const std::string& path,
                                              std::string* error) {
-  const auto contents = ReadFileToString(path, error);
-  if (!contents) return std::nullopt;
-  std::string parse_error;
-  const auto doc = ParseJson(*contents, &parse_error);
-  if (!doc) {
-    SetError(error, path, parse_error);
-    return std::nullopt;
-  }
+  const auto doc = LoadJson(path, error);
+  if (!doc) return std::nullopt;
   return ParseTelemetryDoc(path, *doc, error);
 }
 
 std::optional<SweepCellDoc> LoadSweepCellDoc(const std::string& path,
                                              std::string* error) {
-  const auto contents = ReadFileToString(path, error);
-  if (!contents) return std::nullopt;
-  std::string parse_error;
-  const auto doc = ParseJson(*contents, &parse_error);
-  if (!doc) {
-    SetError(error, path, parse_error);
-    return std::nullopt;
-  }
-  if (!doc->is_object()) {
+  const auto doc = LoadJson(path, error);
+  if (!doc) return std::nullopt;
+  return ParseSweepCellDoc(path, *doc, error);
+}
+
+std::optional<SweepCellDoc> ParseSweepCellDoc(const std::string& path,
+                                              const JsonValue& doc,
+                                              std::string* error) {
+  if (!doc.is_object()) {
     SetError(error, path, "not a JSON object");
     return std::nullopt;
   }
-  const std::string schema = doc->StringOr("schema", "");
+  const std::string schema = doc.StringOr("schema", "");
   if (schema != "strip.sweep-cell/v1") {
     SetError(error, path, "unsupported schema '" + schema +
                               "' (want strip.sweep-cell/v1)");
@@ -320,14 +373,19 @@ std::optional<SweepCellDoc> LoadSweepCellDoc(const std::string& path,
   }
   SweepCellDoc out;
   out.path = path;
-  out.policy = doc->StringOr("policy", "");
-  out.x_name = doc->StringOr("x_name", "");
-  out.x_value = doc->NumberOr("x_value", 0);
-  out.x_index = static_cast<std::size_t>(doc->NumberOr("x_index", 0));
-  out.replications = static_cast<int>(doc->NumberOr("replications", 0));
-  out.base_seed = AsUint64(doc->NumberOr("base_seed", 0));
-  out.timed_out = doc->BoolOr("timed_out", false);
-  const JsonValue* runs = doc->Find("runs");
+  out.policy = doc.StringOr("policy", "");
+  out.x_name = doc.StringOr("x_name", "");
+  out.x_value = doc.NumberOr("x_value", 0);
+  if (!ToNonNegative(doc.NumberOr("x_index", 0), path, "x_index",
+                     &out.x_index, error) ||
+      !ToNonNegative(doc.NumberOr("replications", 0), path, "replications",
+                     &out.replications, error) ||
+      !ToNonNegative(doc.NumberOr("base_seed", 0), path, "base_seed",
+                     &out.base_seed, error)) {
+    return std::nullopt;
+  }
+  out.timed_out = doc.BoolOr("timed_out", false);
+  const JsonValue* runs = doc.Find("runs");
   if (runs == nullptr || !runs->is_array()) {
     SetError(error, path, "missing runs array");
     return std::nullopt;
@@ -342,14 +400,8 @@ std::optional<SweepCellDoc> LoadSweepCellDoc(const std::string& path,
 
 std::optional<BenchDoc> LoadBenchDoc(const std::string& path,
                                      std::string* error) {
-  const auto contents = ReadFileToString(path, error);
-  if (!contents) return std::nullopt;
-  std::string parse_error;
-  const auto doc = ParseJson(*contents, &parse_error);
-  if (!doc) {
-    SetError(error, path, parse_error);
-    return std::nullopt;
-  }
+  const auto doc = LoadJson(path, error);
+  if (!doc) return std::nullopt;
   return ParseBenchDoc(path, *doc, error);
 }
 
@@ -383,7 +435,11 @@ std::optional<BenchDoc> ParseBenchDoc(const std::string& path,
       entry.name = item.StringOr("name", "");
       if (entry.name.empty()) continue;
       entry.family = item.StringOr("family", entry.name);
-      entry.samples = static_cast<int>(item.NumberOr("samples", 1));
+      if (!ToNonNegative(item.NumberOr("samples", 1), path,
+                         "entry '" + entry.name + "' samples", &entry.samples,
+                         error)) {
+        return std::nullopt;
+      }
       entry.real_time_ns = item.NumberOr("real_time_ns", 0);
       entry.cpu_time_ns = item.NumberOr("cpu_time_ns", 0);
       out.entries.push_back(std::move(entry));
@@ -538,14 +594,8 @@ std::optional<ArtifactKind> ClassifyArtifact(const std::string& path,
     return std::nullopt;
   }
   if (S_ISDIR(st.st_mode)) return ArtifactKind::kSweepDir;
-  const auto contents = ReadFileToString(path, error);
-  if (!contents) return std::nullopt;
-  std::string parse_error;
-  const auto doc = ParseJson(*contents, &parse_error);
-  if (!doc) {
-    SetError(error, path, parse_error);
-    return std::nullopt;
-  }
+  const auto doc = LoadJson(path, error);
+  if (!doc) return std::nullopt;
   if (!doc->is_object()) {
     SetError(error, path, "not a JSON object");
     return std::nullopt;

@@ -174,6 +174,8 @@ struct SweepDirData {
 
 [[nodiscard]] std::optional<SweepCellDoc> LoadSweepCellDoc(
     const std::string& path, std::string* error);
+[[nodiscard]] std::optional<SweepCellDoc> ParseSweepCellDoc(
+    const std::string& path, const JsonValue& doc, std::string* error);
 
 [[nodiscard]] std::optional<BenchDoc> LoadBenchDoc(
     const std::string& path, std::string* error);

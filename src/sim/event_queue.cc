@@ -116,10 +116,6 @@ void EventQueue::DropStaleRoot() {
   }
 }
 
-EventQueue::Handle EventQueue::Schedule(Time at, Callback callback) {
-  return Insert(at, ReserveSequence(), std::move(callback));
-}
-
 std::uint64_t EventQueue::ReserveSequence(std::uint64_t count) {
   STRIP_CHECK_MSG(count <= kMaxSequence - next_sequence_,
                   "event sequence exhausted");
@@ -128,18 +124,10 @@ std::uint64_t EventQueue::ReserveSequence(std::uint64_t count) {
   return first;
 }
 
-EventQueue::Handle EventQueue::ScheduleReserved(Time at,
-                                                std::uint64_t sequence,
-                                                Callback callback) {
-  STRIP_CHECK_MSG(sequence < next_sequence_,
-                  "event sequence was never reserved");
-  return Insert(at, sequence, std::move(callback));
-}
-
-EventQueue::Handle EventQueue::Insert(Time at, std::uint64_t sequence,
-                                      Callback callback) {
+EventQueue::Handle EventQueue::Schedule(Time at, Callback callback) {
   STRIP_CHECK_MSG(at >= 0, "event scheduled at negative time");
   STRIP_CHECK_MSG(callback != nullptr, "event scheduled with null callback");
+  const std::uint64_t sequence = ReserveSequence();
   const std::uint32_t slot = AcquireSlot();
   Slot& s = slots_[slot];
   s.time = at;
@@ -169,6 +157,7 @@ void EventQueue::PopRootInto(std::optional<Fired>& fired) {
   Slot& s = slots_[key.slot()];
   fired.emplace();
   fired->time = s.time;
+  fired->sequence = s.sequence;
   fired->callback = std::move(s.callback);
   // Freeing the slot invalidates outstanding handles (pending() goes
   // false and Cancel() after the fact is a no-op).
@@ -200,13 +189,6 @@ std::optional<Time> EventQueue::PeekNextTime() {
   DropStaleRoot();
   if (heap_.empty()) return std::nullopt;
   return heap_.front().time;
-}
-
-bool EventQueue::HasPendingBefore(Time at, std::uint64_t sequence) {
-  DropStaleRoot();
-  if (heap_.empty()) return false;
-  const HeapKey& root = heap_.front();
-  return root.time < at || (root.time == at && root.sequence() < sequence);
 }
 
 }  // namespace strip::sim

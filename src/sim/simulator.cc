@@ -12,13 +12,6 @@ EventQueue::Handle Simulator::ScheduleAt(Time at,
   return queue_.Schedule(at, std::move(callback));
 }
 
-EventQueue::Handle Simulator::ScheduleReserved(Time at,
-                                               std::uint64_t sequence,
-                                               EventQueue::Callback callback) {
-  STRIP_CHECK_MSG(at >= now_, "event scheduled in the past");
-  return queue_.ScheduleReserved(at, sequence, std::move(callback));
-}
-
 EventQueue::Handle Simulator::ScheduleAfter(Duration delay,
                                             EventQueue::Callback callback) {
   STRIP_CHECK_MSG(delay >= 0, "event scheduled with negative delay");
@@ -35,20 +28,13 @@ void Simulator::RunUntil(Time end) {
     std::optional<EventQueue::Fired> event = queue_.PopNextBefore(end);
     if (!event.has_value()) break;
     now_ = event->time;
+    current_sequence_ = event->sequence;
     ++events_dispatched_;
     event->callback();
   }
-  if (!stop_requested_) now_ = end;
-}
-
-void Simulator::Run() {
-  stop_requested_ = false;
-  while (!stop_requested_) {
-    std::optional<EventQueue::Fired> event = queue_.PopNext();
-    if (!event.has_value()) break;
-    now_ = event->time;
-    ++events_dispatched_;
-    event->callback();
+  if (!stop_requested_) {
+    now_ = end;
+    current_sequence_ = kAllDispatched;
   }
 }
 

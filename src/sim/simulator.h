@@ -15,6 +15,7 @@
 #define STRIP_SIM_SIMULATOR_H_
 
 #include <cstdint>
+#include <limits>
 
 #include "sim/event_queue.h"
 #include "sim/sim_time.h"
@@ -30,6 +31,13 @@ class Simulator {
   // Current simulated time.
   Time now() const { return now_; }
 
+  // Where the run stands among the events at now(): inside a callback
+  // or after Stop(), the sequence of the dispatching (or stopping)
+  // event; before any run and once RunUntil has returned at its end,
+  // the largest value. An event keyed before (now(), this) has been
+  // dispatched.
+  std::uint64_t current_sequence() const { return current_sequence_; }
+
   // Schedules `callback` at absolute time `at` (must be >= now()).
   EventQueue::Handle ScheduleAt(Time at, EventQueue::Callback callback);
 
@@ -42,17 +50,6 @@ class Simulator {
   // anything (see EventQueue::ReserveSequence).
   std::uint64_t ReserveSequence(std::uint64_t count = 1) {
     return queue_.ReserveSequence(count);
-  }
-
-  // Schedules `callback` at absolute time `at` (must be >= now()) in
-  // the same-instant place of a sequence from ReserveSequence().
-  EventQueue::Handle ScheduleReserved(Time at, std::uint64_t sequence,
-                                      EventQueue::Callback callback);
-
-  // True if a pending event would be dispatched before one keyed
-  // (at, sequence); see EventQueue::HasPendingBefore.
-  bool HasPendingBefore(Time at, std::uint64_t sequence) {
-    return queue_.HasPendingBefore(at, sequence);
   }
 
   // Cancels a previously scheduled event. Returns true if it was still
@@ -68,9 +65,6 @@ class Simulator {
   // Events at exactly `end` are dispatched.
   void RunUntil(Time end);
 
-  // Dispatches events until the queue is empty or Stop() is called.
-  void Run();
-
   // Requests that the run loop return after the current event. Callable
   // from inside event callbacks only.
   void Stop() { stop_requested_ = true; }
@@ -82,8 +76,13 @@ class Simulator {
   std::size_t events_pending() const { return queue_.size(); }
 
  private:
+  // current_sequence() once every event at now() has been dispatched.
+  static constexpr std::uint64_t kAllDispatched =
+      std::numeric_limits<std::uint64_t>::max();
+
   EventQueue queue_;
   Time now_ = 0;
+  std::uint64_t current_sequence_ = kAllDispatched;
   bool stop_requested_ = false;
   std::uint64_t events_dispatched_ = 0;
 };

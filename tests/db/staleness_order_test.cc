@@ -12,9 +12,14 @@
 // with readers and other expiries at the same instant, and readers are
 // scheduled both before and after the apply or construction that
 // created an expiry. Updates are queued and removed under every
-// criterion. The index must fire each expiry exactly where its
+// criterion. The index must apply each expiry exactly where its
 // per-object event fired: every reader's stale counts and the final
 // f_old must match bit for bit.
+//
+// A second mode drives each tracker as a replay of a recorded run's
+// tracker calls does: the real tracker's simulator holds no events,
+// RunUntil(call time) runs before each call, and the counts and f_old
+// are read after a final RunUntil, outside every callback.
 
 #include <algorithm>
 #include <functional>
@@ -265,6 +270,9 @@ Observation RunScript(StalenessCriterion criterion, std::uint64_t seed) {
     }
   }
   sim.RunUntil(kHorizon);
+  // Once the run is over every event at kHorizon has been dispatched, so
+  // the counts read now include every expiry due then.
+  read();
   for (const Shard& shard : shards) {
     for (int c = 0; c < kNumObjectClasses; ++c) {
       seen.f_old.push_back(shard.tracker->FractionStaleAverage(
@@ -274,22 +282,157 @@ Observation RunScript(StalenessCriterion criterion, std::uint64_t seed) {
   return seen;
 }
 
-class StalenessOrderTest
-    : public ::testing::TestWithParam<StalenessCriterion> {};
+// One recorded tracker call: when it was made, and its arguments (an
+// apply's object, generation and arrival ride in `update` too).
+struct ReplayCall {
+  enum class Kind { kApply, kEnqueued, kRemoved, kReset, kRead };
+  Kind kind = Kind::kRead;
+  sim::Time time = 0;
+  Update update;
+};
 
-TEST_P(StalenessOrderTest, ExpiryIndexMatchesPerObjectEvents) {
+struct ReplayScript {
+  double alpha = 0;
+  int n[kNumObjectClasses] = {};
+  std::vector<ReplayCall> calls;
+};
+
+// Draws a time-ordered call stream with ties, generations that never
+// move backwards per object, and removals of queued updates only.
+ReplayScript MakeReplayScript(std::uint64_t seed) {
+  sim::RandomStream random{base::RngSeed(seed)};
+  ReplayScript script;
+  script.alpha = kStep * random.UniformInt(1, 8);
+  std::vector<sim::Time> last_generation[kNumObjectClasses];
+  for (int c = 0; c < kNumObjectClasses; ++c) {
+    script.n[c] = random.UniformInt(1, 40);
+    last_generation[c].assign(script.n[c], 0.0);
+  }
+  std::vector<Update> queued;
+  std::uint64_t next_update = 1;
+  sim::Time now = 0;
+  for (int k = random.UniformInt(10, 60); k > 0; --k) {
+    now = std::min(kHorizon, now + kStep * random.UniformInt(0, 3));
+    ReplayCall call;
+    call.time = now;
+    Update& u = call.update;
+    const int c = random.UniformInt(0, 1);
+    u.object = {static_cast<ObjectClass>(c),
+                random.UniformInt(0, script.n[c] - 1)};
+    const int op = random.UniformInt(0, 9);
+    if (op < 4) {
+      call.kind = ReplayCall::Kind::kApply;
+      sim::Time& last = last_generation[c][u.object.index];
+      const int age =
+          random.UniformInt(0, static_cast<int>(2 * script.alpha / kStep));
+      u.generation_time = std::max(last, now - kStep * age);
+      u.arrival_time = std::max(u.generation_time,
+                                now - kStep * random.UniformInt(0, age));
+      last = u.generation_time;
+    } else if (op < 6) {
+      call.kind = ReplayCall::Kind::kEnqueued;
+      u.id = base::UpdateId(next_update++);
+      u.generation_time = now - kStep * random.UniformInt(0, 4);
+      u.arrival_time = now;
+      queued.push_back(u);
+    } else if (op < 7 && !queued.empty()) {
+      call.kind = ReplayCall::Kind::kRemoved;
+      const int i = random.UniformInt(0, static_cast<int>(queued.size()) - 1);
+      call.update = queued[i];
+      queued.erase(queued.begin() + i);
+    } else if (op < 8) {
+      call.kind = ReplayCall::Kind::kReset;
+    }
+    script.calls.push_back(call);
+  }
+  return script;
+}
+
+// Replays `script` into a tracker built at time 0 on a simulator of its
+// own, with a read after each kRead call and one after the final
+// RunUntil.
+template <typename Tracker>
+Observation Replay(StalenessCriterion criterion, const ReplayScript& script) {
+  sim::Simulator sim;
+  Tracker tracker(&sim, criterion, script.alpha, script.n[0], script.n[1]);
+  Observation seen;
+  const auto read = [&] {
+    seen.reader_times.push_back(sim.now());
+    for (int c = 0; c < kNumObjectClasses; ++c) {
+      seen.stale_counts.push_back(
+          tracker.StaleCount(static_cast<ObjectClass>(c)));
+    }
+  };
+  for (const ReplayCall& call : script.calls) {
+    if (call.time > sim.now()) sim.RunUntil(call.time);
+    switch (call.kind) {
+      case ReplayCall::Kind::kApply:
+        tracker.OnApply(call.update.object, call.update.generation_time,
+                        call.update.arrival_time);
+        break;
+      case ReplayCall::Kind::kEnqueued:
+        tracker.OnEnqueued(call.update);
+        break;
+      case ReplayCall::Kind::kRemoved:
+        tracker.OnRemovedFromQueue(call.update);
+        break;
+      case ReplayCall::Kind::kReset:
+        tracker.ResetObservation();
+        break;
+      case ReplayCall::Kind::kRead:
+        read();
+        break;
+    }
+  }
+  sim.RunUntil(kHorizon);
+  read();
+  for (int c = 0; c < kNumObjectClasses; ++c) {
+    seen.f_old.push_back(
+        tracker.FractionStaleAverage(static_cast<ObjectClass>(c), kHorizon));
+  }
+  return seen;
+}
+
+using Observe = std::function<Observation(std::uint64_t seed)>;
+
+// Runs seeded scripts through the reference (`want`) and the real
+// tracker (`got`); every observation must match bit for bit.
+void ExpectSameObservations(const Observe& want, const Observe& got) {
   constexpr int kScripts = 1000;
   int diverged = 0;
   std::string first;
   for (int script = 0; script < kScripts; ++script) {
     const std::uint64_t seed = 1000003ull * script + 17;
-    const Observation want = RunScript<ReferenceTracker>(GetParam(), seed);
-    const Observation got = RunScript<StalenessTracker>(GetParam(), seed);
-    if (got == want) continue;
+    if (got(seed) == want(seed)) continue;
     if (++diverged == 1) first = "seed " + std::to_string(seed);
   }
   EXPECT_EQ(diverged, 0) << diverged << " of " << kScripts
                          << " scripts diverged, first at " << first;
+}
+
+class StalenessOrderTest
+    : public ::testing::TestWithParam<StalenessCriterion> {};
+
+TEST_P(StalenessOrderTest, ExpiryIndexMatchesPerObjectEvents) {
+  const StalenessCriterion criterion = GetParam();
+  ExpectSameObservations(
+      [&](std::uint64_t seed) {
+        return RunScript<ReferenceTracker>(criterion, seed);
+      },
+      [&](std::uint64_t seed) {
+        return RunScript<StalenessTracker>(criterion, seed);
+      });
+}
+
+TEST_P(StalenessOrderTest, ReplayedCallsMatchPerObjectEvents) {
+  const StalenessCriterion criterion = GetParam();
+  ExpectSameObservations(
+      [&](std::uint64_t seed) {
+        return Replay<ReferenceTracker>(criterion, MakeReplayScript(seed));
+      },
+      [&](std::uint64_t seed) {
+        return Replay<StalenessTracker>(criterion, MakeReplayScript(seed));
+      });
 }
 
 std::string CriterionName(

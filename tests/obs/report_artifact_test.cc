@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -186,6 +187,12 @@ TEST(ReportArtifactTest, ClassifiesEachFamily) {
           .has_value());
 }
 
+constexpr char kCellBody[] =
+    "{\"schema\": \"strip.sweep-cell/v1\", \"policy\": \"UF\","
+    " \"x_name\": \"lambda_u\", \"x_value\": 100, \"x_index\": 0,"
+    " \"replications\": 1, \"base_seed\": 1, \"timed_out\": false,"
+    " \"runs\": [{\"p_md\": 0.5}]}";
+
 TEST(ReportArtifactTest, LoadsSweepDirWithShardTelemetry) {
   const std::string dir = ::testing::TempDir() + "report_sweepdir";
   std::remove((dir + "/cell_UF_00.json").c_str());
@@ -193,14 +200,9 @@ TEST(ReportArtifactTest, LoadsSweepDirWithShardTelemetry) {
   std::remove((dir + "/OD_00.json.shard1").c_str());
   ASSERT_EQ(0, std::system(("mkdir -p " + dir).c_str()));
 
-  const std::string cell =
-      "{\"schema\": \"strip.sweep-cell/v1\", \"policy\": \"UF\","
-      " \"x_name\": \"lambda_u\", \"x_value\": 100, \"x_index\": 0,"
-      " \"replications\": 1, \"base_seed\": 1, \"timed_out\": false,"
-      " \"runs\": [{\"p_md\": 0.5}]}";
   {
     std::ofstream out(dir + "/cell_UF_00.json");
-    out << cell;
+    out << kCellBody;
   }
   {
     std::ofstream s0(dir + "/OD_00.json.shard0");
@@ -220,6 +222,92 @@ TEST(ReportArtifactTest, LoadsSweepDirWithShardTelemetry) {
   ASSERT_EQ(data->shard_groups[0].shards.size(), 2u);
   EXPECT_EQ(data->shard_groups[0].shards[0].shard, 0);
   EXPECT_EQ(data->shard_groups[0].shards[1].shard, 1);
+}
+
+// An integer field holding a negative, fractional or out-of-range
+// number is refused with an error that names the field: converting it
+// would be undefined behaviour.
+constexpr const char* kUnusableIntegers[] = {"-1", "2.5", "1e30"};
+
+// Writes `body` with `from` replaced by `to`, loads it with `load`, and
+// expects a rejection naming `field`.
+template <typename Load>
+void ExpectRejectsNaming(Load load, const std::string& body,
+                         const std::string& from, const std::string& to,
+                         const std::string& field) {
+  std::string edited = body;
+  const std::size_t at = edited.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  edited.replace(at, from.size(), to);
+  // Named after the test: ctest runs the tests of this file in parallel.
+  const std::string path = WriteTemp(
+      std::string("artifact_") +
+          ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+          ".json",
+      edited);
+  std::string error;
+  EXPECT_FALSE(load(path, &error).has_value()) << to;
+  EXPECT_NE(error.find(field), std::string::npos) << to << ": " << error;
+}
+
+TEST(ReportArtifactTest, TelemetryRejectsUnusableIntegersNamingTheField) {
+  const std::string body = TelemetryBody(0, 1, 0.4);
+  for (const std::string bad : kUnusableIntegers) {
+    ExpectRejectsNaming(LoadTelemetryDoc, body, "\"seed\": 7",
+                        "\"seed\": " + bad, "run.seed");
+    ExpectRejectsNaming(LoadTelemetryDoc, body, "\"shard\": 0",
+                        "\"shard\": " + bad, "run.shard");
+    ExpectRejectsNaming(LoadTelemetryDoc, body, "[5, 1]", "[5, " + bad + "]",
+                        "histogram 'response_seconds' bucket count");
+  }
+}
+
+TEST(ReportArtifactTest, SweepCellRejectsUnusableIntegersNamingTheField) {
+  for (const std::string bad : kUnusableIntegers) {
+    ExpectRejectsNaming(LoadSweepCellDoc, kCellBody, "\"x_index\": 0",
+                        "\"x_index\": " + bad, "x_index");
+    ExpectRejectsNaming(LoadSweepCellDoc, kCellBody, "\"replications\": 1",
+                        "\"replications\": " + bad, "replications");
+  }
+}
+
+constexpr char kHistoryBody[] =
+    "{\"schema\": \"strip.bench-history/v1\", \"build_type\": \"release\","
+    " \"host\": {\"num_cpus\": 4, \"caches\": [{\"level\": 1,"
+    " \"type\": \"Data\", \"size\": 32768}]},"
+    " \"entries\": [{\"name\": \"BM_Sim/1\", \"family\": \"BM_Sim\","
+    " \"samples\": 3, \"real_time_ns\": 10, \"cpu_time_ns\": 9}]}";
+
+TEST(ReportArtifactTest, BenchHistoryRejectsUnusableIntegersNamingTheField) {
+  for (const std::string bad : kUnusableIntegers) {
+    ExpectRejectsNaming(LoadBenchDoc, kHistoryBody, "\"samples\": 3",
+                        "\"samples\": " + bad, "entry 'BM_Sim/1' samples");
+  }
+}
+
+// The host block has no error path: an unusable number there leaves
+// the host unknown, as a missing num_cpus does.
+TEST(ReportArtifactTest, BenchHostWithUnusableIntegersIsUnknown) {
+  std::string error;
+  const std::string good = WriteTemp("artifact_host.json", kHistoryBody);
+  const auto doc = LoadBenchDoc(good, &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  EXPECT_TRUE(doc->host.known);
+  EXPECT_EQ(doc->host.num_cpus, 4);
+  for (const std::string bad : kUnusableIntegers) {
+    for (const auto& [from, to] :
+         {std::pair<std::string, std::string>{"\"num_cpus\": 4",
+                                              "\"num_cpus\": " + bad},
+          {"\"level\": 1", "\"level\": " + bad}}) {
+      std::string body = kHistoryBody;
+      body.replace(body.find(from), from.size(), to);
+      const auto loaded =
+          LoadBenchDoc(WriteTemp("artifact_host.json", body), &error);
+      ASSERT_TRUE(loaded.has_value()) << to << ": " << error;
+      EXPECT_FALSE(loaded->host.known) << to;
+      EXPECT_TRUE(loaded->host.caches.empty()) << to;
+    }
+  }
 }
 
 TEST(ReportArtifactTest, SweepDirWithNoArtifactsFails) {

@@ -1,5 +1,7 @@
 #include "sim/simulator.h"
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,16 +83,6 @@ TEST(SimulatorTest, StopHaltsDispatchMidRun) {
   EXPECT_EQ(sim.events_pending(), 1u);
 }
 
-TEST(SimulatorTest, RunDrainsEverything) {
-  Simulator sim;
-  int fired = 0;
-  sim.ScheduleAt(1.0, [&] { ++fired; });
-  sim.ScheduleAt(100.0, [&] { ++fired; });
-  sim.Run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_DOUBLE_EQ(sim.now(), 100.0);
-}
-
 TEST(SimulatorTest, CountsDispatchedEvents) {
   Simulator sim;
   for (int i = 0; i < 5; ++i) sim.ScheduleAt(i, [] {});
@@ -122,45 +114,48 @@ TEST(SimulatorTest, CancelInsideEvent) {
   EXPECT_FALSE(fired);
 }
 
-TEST(SimulatorTest, ReservedEventKeepsItsSameInstantPlace) {
+constexpr std::uint64_t kAllDispatched =
+    std::numeric_limits<std::uint64_t>::max();
+
+TEST(SimulatorTest, CurrentSequenceBeforeAnyRunIsTheLargest) {
   Simulator sim;
-  std::vector<int> order;
-  sim.ScheduleAt(2.0, [&] { order.push_back(1); });
-  const std::uint64_t reserved = sim.ReserveSequence();
-  sim.ScheduleAt(1.0, [&] {
-    sim.ScheduleAt(2.0, [&] { order.push_back(3); });
-    sim.ScheduleReserved(2.0, reserved, [&] { order.push_back(2); });
-  });
-  sim.RunUntil(10.0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(sim.events_dispatched(), 4u);
+  EXPECT_EQ(sim.current_sequence(), kAllDispatched);
+  sim.RunUntil(3.0);
+  EXPECT_EQ(sim.current_sequence(), kAllDispatched);
 }
 
-TEST(SimulatorTest, HasPendingBeforeSeesEventsAtTheCurrentInstant) {
+TEST(SimulatorTest, CurrentSequenceInsideCallbackIsTheDispatchingEvents) {
   Simulator sim;
-  bool checked = false;
-  sim.ScheduleAt(1.0, [&] {
-    const std::uint64_t mine = sim.ReserveSequence();
-    EXPECT_FALSE(sim.HasPendingBefore(sim.now(), mine));
-    sim.ScheduleAfter(0.0, [] {});
-    EXPECT_FALSE(sim.HasPendingBefore(sim.now(), mine));
-    EXPECT_TRUE(sim.HasPendingBefore(sim.now(), sim.ReserveSequence()));
-    checked = true;
-  });
-  sim.RunUntil(10.0);
-  EXPECT_TRUE(checked);
-}
-
-TEST(SimulatorDeathTest, ScheduleReservedInThePastDies) {
-  Simulator sim;
+  std::vector<std::uint64_t> seen;
+  const auto record = [&] { seen.push_back(sim.current_sequence()); };
+  sim.ScheduleAt(2.0, record);
   const std::uint64_t reserved = sim.ReserveSequence();
+  sim.ScheduleAt(2.0, record);
+  sim.ScheduleAt(1.0, record);
   sim.RunUntil(5.0);
-  EXPECT_DEATH(sim.ScheduleReserved(4.0, reserved, [] {}), "past");
+  // A reserved key sits between the same-instant events scheduled
+  // around it: the first sees it ahead, the second behind.
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{reserved + 2, reserved - 1,
+                                              reserved + 1}));
+  EXPECT_EQ(sim.current_sequence(), kAllDispatched);
 }
 
-TEST(SimulatorDeathTest, ScheduleReservedUnreservedSequenceDies) {
+TEST(SimulatorTest, CurrentSequenceAfterStopIsTheStoppingEvents) {
   Simulator sim;
-  EXPECT_DEATH(sim.ScheduleReserved(1.0, 7, [] {}), "never reserved");
+  std::uint64_t stopper = 0;
+  std::uint64_t resumed = 0;
+  sim.ScheduleAt(1.0, [&] {
+    stopper = sim.current_sequence();
+    sim.Stop();
+  });
+  sim.ScheduleAt(1.0, [&] { resumed = sim.current_sequence(); });
+  sim.RunUntil(10.0);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  EXPECT_EQ(sim.current_sequence(), stopper);
+  sim.RunUntil(10.0);
+  EXPECT_EQ(resumed, stopper + 1);
+  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
+  EXPECT_EQ(sim.current_sequence(), kAllDispatched);
 }
 
 TEST(SimulatorDeathTest, SchedulingInThePastDies) {
